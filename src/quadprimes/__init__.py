@@ -5,16 +5,16 @@ from .arith import (PrimeTable, SieveWindow, euler_phi, integer_sqrt, is_prime,
 from .characters import (Character, CharacterTable, build_character_group,
                          evaluate, primitive_characters)
 from .dispersion import (DispersionParams, DispersionSample, dispersion_profile,
-                         identity_check, m_tilde, u_term, v_term, w_term)
+                         identity_check, m_tilde)
 from .lemmas import (LemmaReport, large_sieve_avg_check, large_sieve_single_check,
                      legendre_sum_check, mean_square_check,
                      mean_square_twisted_check, phi_average_check,
                      polya_vinogradov_check, short_ap_check)
-from .scan import (MomentReport, ProgressionRow, ScanConfig, exceptional_set,
-                   scan_all_k, theorem1_moment, theorem2_moment, window_count,
-                   window_lambda_sum)
-from .singular import (SingularValue, batch_singular_series, batch_singular_values,
-                       lower_bound_diagnostic, main_term_constant, singular_series,
+from .scan import (MomentReport, ScanColumns, ScanConfig, exceptional_set,
+                   full_window_moment, scan_all_k, theorem1_moment, theorem2_moment,
+                   window_count, window_lambda_sum)
+from .singular import (SingularValue, batch_singular_values, lower_bound_diagnostic,
+                       main_term_constant, singular_series,
                        truncated_singular_series)
 
 __version__ = "0.1.0"
@@ -24,14 +24,14 @@ __all__ = [
     "kronecker", "mobius", "primes_up_to", "sieve_window", "von_mangoldt",
     "Character", "CharacterTable", "build_character_group", "evaluate",
     "primitive_characters",
-    "SingularValue", "batch_singular_series", "batch_singular_values",
+    "SingularValue", "batch_singular_values",
     "lower_bound_diagnostic", "main_term_constant", "singular_series",
     "truncated_singular_series",
-    "MomentReport", "ProgressionRow", "ScanConfig", "exceptional_set",
-    "scan_all_k", "theorem1_moment", "theorem2_moment", "window_count",
-    "window_lambda_sum",
+    "MomentReport", "ScanColumns", "ScanConfig", "exceptional_set",
+    "full_window_moment", "scan_all_k", "theorem1_moment", "theorem2_moment",
+    "window_count", "window_lambda_sum",
     "DispersionParams", "DispersionSample", "dispersion_profile",
-    "identity_check", "m_tilde", "u_term", "v_term", "w_term",
+    "identity_check", "m_tilde",
     "LemmaReport", "large_sieve_avg_check", "large_sieve_single_check",
     "legendre_sum_check", "mean_square_check", "mean_square_twisted_check",
     "phi_average_check", "polya_vinogradov_check", "short_ap_check",

@@ -6,7 +6,7 @@ Provides:
 - exact integer square / n-th roots
 - deterministic 64-bit primality (fixed Miller-Rabin witness set)
 - von Mangoldt function Lambda(n) via perfect-power extraction
-- prime tables and segmented sieve windows carrying Lambda + primality data
+- prime tables and segmented sieve windows carrying Lambda
 
 Everything downstream (singular series, progression scans, dispersion terms,
 lemma checks) is built on these primitives.  All functions are pure;
@@ -188,14 +188,15 @@ def isqrt_array(x: np.ndarray) -> np.ndarray:
     """Exact elementwise floor(sqrt) for a non-negative int64 array.
 
     float64 sqrt gets within 1 of the truth for the full int64 range, so a
-    single +-1 correction pass makes the result exact.
+    single +-1 correction pass makes the result exact.  It compares s with
+    x // s, since squares near 2^63 overflow int64.
     """
     x = np.asarray(x, dtype=np.int64)
     if x.size and int(x.min()) < 0:
         raise ValueError("negative input")
     s = np.sqrt(x.astype(np.float64)).astype(np.int64)
-    s -= s * s > x
-    s += (s + 1) * (s + 1) <= x
+    s -= s > x // np.maximum(s, 1)      # s^2 > x
+    s += s + 1 <= x // (s + 1)          # (s+1)^2 <= x
     return s
 
 
@@ -244,21 +245,21 @@ def shared_prime_table(limit: int) -> PrimeTable:
 
 @dataclass(frozen=True)
 class SieveWindow:
-    """Von Mangoldt / primality data for the integer interval [lo, hi).
+    """Von Mangoldt data for the integer interval [lo, hi).
 
-    lam[i] = Lambda(lo + i) (natural log), prime_flags[i] <=> lo + i prime.
+    lam[i] = Lambda(lo + i) (natural log); lo + i is prime exactly when
+    lam[i] == log(lo + i).
     """
     lo: int
     hi: int
     lam: np.ndarray
-    prime_flags: np.ndarray
 
     def __len__(self) -> int:
         return self.hi - self.lo
 
 
 def sieve_window(lo: int, hi: int, table: PrimeTable) -> SieveWindow:
-    """Sieve Lambda and primality over [lo, hi).
+    """Sieve Lambda over [lo, hi).
 
     Requires 2 <= lo < hi and table.limit >= isqrt(hi): smaller tables would
     miss composite witnesses and mislabel composites as prime.
@@ -295,4 +296,4 @@ def sieve_window(lo: int, hi: int, table: PrimeTable) -> SieveWindow:
             if pe >= lo:
                 lam[pe - lo] = lp
             pe *= p
-    return SieveWindow(lo=lo, hi=hi, lam=lam, prime_flags=flags)
+    return SieveWindow(lo=lo, hi=hi, lam=lam)

@@ -1,7 +1,7 @@
 """Command-line orchestration.
 
-Commands: scan, moment1, moment2, dispersion, lemmas, singular, constant,
-plus cache maintenance.  Parameters come from --key=value flags and/or a
+Commands: scan, moment1, moment2, dispersion, lemmas, singular, constant.
+Parameters come from --key=value flags and/or a
 plain-text config file of `key = value` lines (# comments); flags override
 file values.  Every run writes results.csv and summary.json (full effective
 config echo, a git-style content hash of the CSV, timings) into the output
@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -24,22 +22,20 @@ from pathlib import Path
 
 import numpy as np
 
-from . import cache as sieve_cache
-from .arith import shared_prime_table, sieve_window
 from .dispersion import DispersionParams, dispersion_profile
 from .lemmas import default_grid
-from .scan import MomentReport, ScanConfig, exceptional_set, scan_all_k, theorem2_moment
+from .scan import (MomentReport, ScanColumns, ScanConfig, full_window_moment,
+                   scan_all_k, theorem2_moment)
 from .singular import batch_singular_values, main_term_constant
 
 COMMANDS = ("scan", "moment1", "moment2", "dispersion", "lemmas",
-            "singular", "constant", "cache")
+            "singular", "constant")
 
 # name -> (type, required-for-commands, default)
 _PARAM_TYPES = {
     "z": int, "K": int, "delta": int, "B": float, "C": float, "P": int,
     "t_samples": int, "seed": int, "grid": int, "threads": int,
-    "x": int, "lo": int, "hi": int, "tol": float,
-    "out": str, "cache_dir": str, "config": str, "action": str,
+    "out": str, "config": str,
 }
 
 _REQUIRED = {
@@ -50,7 +46,6 @@ _REQUIRED = {
     "lemmas": (),
     "singular": ("K",),
     "constant": (),
-    "cache": ("action",),
 }
 
 _DEFAULTS = {
@@ -61,7 +56,6 @@ _DEFAULTS = {
     "lemmas": {"seed": 0},
     "singular": {"P": 10**5},
     "constant": {"P": 10**6},
-    "cache": {"lo": None, "hi": None},
 }
 
 
@@ -74,7 +68,6 @@ class RunConfig:
     command: str
     parameters: dict = field(default_factory=dict)
     output_dir: Path = Path(".")
-    cache_dir: Path = Path(".sieve_cache")
     threads: int = 1
 
 
@@ -139,21 +132,11 @@ def parse_config(args: list[str], file: str | Path | None = None) -> RunConfig:
     for key in _REQUIRED[command]:
         if merged.get(key) is None:
             raise CliError(f"missing required key: {key}")
-    if command == "cache":
-        if merged["action"] not in ("stat", "clear", "warm"):
-            raise CliError(f"malformed value for action: {merged['action']!r} "
-                           "(expected stat, clear or warm)")
-        if merged["action"] == "warm" and (merged.get("lo") is None
-                                           or merged.get("hi") is None):
-            raise CliError("missing required key: lo/hi (needed by warm)")
 
     out = merged.pop("out", None) or f"runs/{command}"
-    cache_dir = (merged.pop("cache_dir", None)
-                 or os.environ.get("QUADPRIMES_CACHE_DIR", ".sieve_cache"))
     threads = merged.pop("threads", None) or 1
     return RunConfig(command=command, parameters=merged,
-                     output_dir=Path(out), cache_dir=Path(cache_dir),
-                     threads=int(threads))
+                     output_dir=Path(out), threads=int(threads))
 
 
 def _content_hash(data: bytes) -> str:
@@ -174,7 +157,6 @@ def _write_outputs(config: RunConfig, header: str, rows: list[str],
         "command": config.command,
         "parameters": {k: v for k, v in sorted(config.parameters.items())},
         "output_dir": str(config.output_dir),
-        "cache_dir": str(config.cache_dir),
         "threads": config.threads,
         "rows": len(rows),
         "content_hash": _content_hash(csv_text.encode()),
@@ -185,9 +167,14 @@ def _write_outputs(config: RunConfig, header: str, rows: list[str],
         json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
 
-def _row_lines(rows) -> list[str]:
-    return [f"{r.k},{r.lambda_sum!r},{r.count},{r.singular!r},{r.residual!r}"
-            for r in rows]
+_SCAN_HEADER = "k,lambda_sum,count,singular,residual"
+
+
+def _row_lines(scan: ScanColumns) -> list[str]:
+    columns = zip(scan.lambda_sum.tolist(), scan.count.tolist(),
+                  scan.singular.tolist(), scan.residual.tolist())
+    return [f"{k},{lam!r},{count},{sing!r},{resid!r}"
+            for k, (lam, count, sing, resid) in enumerate(columns, 1)]
 
 
 def _report_dict(report: MomentReport) -> dict:
@@ -206,9 +193,8 @@ def _run_scan(config: RunConfig, started: float) -> int:
     cfg = ScanConfig(z=p["z"], K=p["K"], delta=p.get("delta"))
     for warning in cfg.range_warnings():
         print(f"warning: {warning}", file=sys.stderr)
-    rows = scan_all_k(cfg, P=p["P"], threads=config.threads)
-    _write_outputs(config, "k,lambda_sum,count,singular,residual",
-                   _row_lines(rows), {}, started)
+    scan = scan_all_k(cfg, P=p["P"], threads=config.threads)
+    _write_outputs(config, _SCAN_HEADER, _row_lines(scan), {}, started)
     return 0
 
 
@@ -217,13 +203,9 @@ def _run_moment1(config: RunConfig, started: float) -> int:
     cfg = ScanConfig(z=p["z"], K=p["K"], B=p["B"])
     for warning in cfg.range_warnings():
         print(f"warning: {warning}", file=sys.stderr)
-    rows = scan_all_k(cfg, P=p["P"], threads=config.threads)
-    lhs = sum(r.residual**2 for r in rows)
-    bound = cfg.K * cfg.z / math.log(cfg.z) ** cfg.B
-    report = MomentReport(config=cfg, lhs=lhs, bound=bound, ratio=lhs / bound,
-                          exceptional_count=exceptional_set(rows, cfg.z, cfg.B))
-    _write_outputs(config, "k,lambda_sum,count,singular,residual",
-                   _row_lines(rows), {"moment": _report_dict(report)}, started)
+    scan, report = full_window_moment(cfg, P=p["P"], threads=config.threads)
+    _write_outputs(config, _SCAN_HEADER, _row_lines(scan),
+                   {"moment": _report_dict(report)}, started)
     return 0
 
 
@@ -296,65 +278,6 @@ def _run_constant(config: RunConfig, started: float) -> int:
     return 0
 
 
-def cache_ops(cache_dir: str | Path, action: str,
-              lo: int | None = None, hi: int | None = None,
-              segment: int = 1 << 20) -> dict:
-    """Manage the on-disk sieve cache: stat / clear / warm(lo, hi).
-
-    Corrupt files are deleted with a warning and reported, never used.
-    """
-    cache_dir = Path(cache_dir)
-    report: dict = {"action": action, "dir": str(cache_dir),
-                    "files": [], "removed": 0, "corrupt": []}
-    if action == "clear":
-        if cache_dir.is_dir():
-            for path in sorted(cache_dir.glob("*.svw")):
-                path.unlink()
-                report["removed"] += 1
-        return report
-    if action == "stat":
-        if cache_dir.is_dir():
-            for path in sorted(cache_dir.glob("*.svw")):
-                try:
-                    win = sieve_cache.load_window(path)
-                except sieve_cache.CacheError as exc:
-                    print(f"warning: deleting corrupt cache file: {exc}",
-                          file=sys.stderr)
-                    path.unlink()
-                    report["corrupt"].append(path.name)
-                    continue
-                report["files"].append(
-                    {"name": path.name, "lo": win.lo, "hi": win.hi,
-                     "cells": win.hi - win.lo})
-        return report
-    if action == "warm":
-        if lo is None or hi is None or not 2 <= lo < hi:
-            raise CliError("warm requires 2 <= lo < hi")
-        table = shared_prime_table(max(2, math.isqrt(hi) + 1))
-        cur = lo
-        while cur < hi:
-            top = min(cur + segment, hi)
-            win = sieve_window(cur, top, table)
-            path = sieve_cache.window_path(cache_dir, cur, top)
-            sieve_cache.save_window(win, path)
-            report["files"].append({"name": path.name, "lo": cur, "hi": top,
-                                    "cells": top - cur})
-            cur = top
-        return report
-    raise CliError(f"unknown cache action: {action}")
-
-
-def _run_cache(config: RunConfig, started: float) -> int:
-    p = config.parameters
-    report = cache_ops(config.cache_dir, p["action"], p.get("lo"), p.get("hi"))
-    rows = [f"{f['name']},{f['lo']},{f['hi']},{f['cells']}"
-            for f in report["files"]]
-    _write_outputs(config, "file,lo,hi,cells", rows, {"cache": report}, started)
-    print(f"cache {p['action']}: {len(report['files'])} file(s), "
-          f"{report['removed']} removed, {len(report['corrupt'])} corrupt")
-    return 0
-
-
 _RUNNERS = {
     "scan": _run_scan,
     "moment1": _run_moment1,
@@ -363,7 +286,6 @@ _RUNNERS = {
     "lemmas": _run_lemmas,
     "singular": _run_singular,
     "constant": _run_constant,
-    "cache": _run_cache,
 }
 
 

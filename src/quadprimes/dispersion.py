@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import euler_phi, isqrt_array
-from .scan import progression_sums
+from .scan import progression_sums, sample_points
 from .singular import (CONSTANT_TRUNCATION, DEFAULT_TRUNCATION,
                        cached_singular_values, main_term_constant)
 
@@ -72,38 +72,12 @@ class DispersionSample:
     main_term: float      # (Delta^2 K / 4t) * main-term constant
 
 
-def _window_arrays(params: DispersionParams, t: int, P: int, threads: int = 1):
-    lam, counts, _ = progression_sums(t, params.delta, params.K, threads=threads)
-    sing = cached_singular_values(params.K, P)
-    return lam, counts.astype(np.float64), sing
-
-
-def u_term(params: DispersionParams, t: int, threads: int = 1) -> float:
-    """sum_k (sum_n Lambda(n^2+k))^2; the n1, n2 double sum factors."""
-    lam, _, _ = progression_sums(t, params.delta, params.K, threads=threads)
-    return float((lam * lam).sum())
-
-
-def v_term(params: DispersionParams, t: int, P: int = DEFAULT_TRUNCATION,
-           singular_values: np.ndarray | None = None) -> float:
-    lam, counts, sing = _window_arrays(params, t, P)
-    if singular_values is not None:
-        sing = singular_values
-    return float((sing * counts * lam).sum())
-
-
-def w_term(params: DispersionParams, t: int, P: int = DEFAULT_TRUNCATION,
-           singular_values: np.ndarray | None = None) -> float:
-    _, counts, sing = _window_arrays(params, t, P)
-    if singular_values is not None:
-        sing = singular_values
-    return float((sing * sing * counts * counts).sum())
-
-
 def identity_check(params: DispersionParams, t: int,
                    P: int = DEFAULT_TRUNCATION, threads: int = 1) -> DispersionSample:
     """Evaluate U, V, W and both sides of the expansion identity at one t."""
-    lam, counts, sing = _window_arrays(params, t, P, threads)
+    lam, counts, _ = progression_sums(t, params.delta, params.K, threads=threads)
+    counts = counts.astype(np.float64)
+    sing = cached_singular_values(params.K, P)
     U = float((lam * lam).sum())
     V = float((sing * counts * lam).sum())
     W = float((sing * sing * counts * counts).sum())
@@ -161,15 +135,8 @@ def dispersion_profile(params: DispersionParams, t_grid: list[int] | None = None
     the shared main term measured in units of E.
     """
     if t_grid is None:
-        if seed is None:
-            t_grid = [params.z + (j * params.z) // grid_points
-                      for j in range(grid_points)]
-        else:
-            rng = np.random.default_rng(seed)
-            t_grid = sorted(int(v) for v in
-                            rng.integers(params.z, 2 * params.z, size=grid_points))
-    else:
-        t_grid = sorted(int(v) for v in t_grid)
+        t_grid = sample_points(params.z, grid_points, seed)
+    t_grid = sorted(int(v) for v in t_grid)
     if not all(params.z <= t <= 2 * params.z for t in t_grid):
         raise ValueError("t grid must lie within [z, 2z]")
 

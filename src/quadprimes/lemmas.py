@@ -219,8 +219,31 @@ def short_ap_check(t: int, delta: int, l: int, a: int,
                    abs(observed / reference - 1.0) <= tol)
 
 
-def _psi_increment(t: int, M: int, table) -> np.ndarray:
-    return sieve_window(t + 1, t + M + 1, table).lam
+def _mean_square(lemma_id: str, square, z: int, delta_exp: float, M_frac: float,
+                 samples: int, seed: int, C0: float, extra: dict) -> LemmaReport:
+    """Monte-Carlo mean over t in (z, 2z] of square(t, M, lam), where lam is
+    Lambda on (t, t+M], against delta^2 / (log z)^C0 with delta = z^delta_exp
+    and M = M_frac delta; extra holds the caller's own parameters.
+    """
+    delta = int(round(z**delta_exp))
+    M = int(round(M_frac * delta))
+    if not 0 <= M <= delta:
+        raise ValueError("require 0 <= M <= delta")
+    params = {"z": z, "delta_exp": delta_exp, "M_frac": M_frac, **extra,
+              "samples": samples, "C0": C0, "delta": delta, "M": M}
+    reference = delta**2 / math.log(z) ** C0
+    if M == 0:
+        return _report(lemma_id, params, 0.0, reference, True, seed)
+    table = shared_prime_table(math.isqrt(2 * z + M) + 1)
+    rng = np.random.default_rng(seed)
+    ts = rng.integers(z + 1, 2 * z + 1, size=samples)
+    vals = []
+    for t in ts:
+        t = int(t)
+        vals.append(square(t, M, sieve_window(t + 1, t + M + 1, table).lam))
+    estimate = float(np.mean(vals))
+    return _report(lemma_id, params, estimate, reference,
+                   estimate <= reference, seed)
 
 
 def mean_square_check(z: int, delta_exp: float = 0.4, M_frac: float = 1.0,
@@ -229,22 +252,11 @@ def mean_square_check(z: int, delta_exp: float = 0.4, M_frac: float = 1.0,
     """Monte-Carlo mean of |psi(t+M) - psi(t) - M|^2 over t in (z, 2z]
     against delta^2 / (log z)^C0, with delta = z^delta_exp and M = M_frac delta.
     """
-    delta = int(round(z**delta_exp))
-    M = int(round(M_frac * delta))
-    if not 0 <= M <= delta:
-        raise ValueError("require 0 <= M <= delta")
-    params = {"z": z, "delta_exp": delta_exp, "M_frac": M_frac,
-              "samples": samples, "C0": C0, "delta": delta, "M": M}
-    reference = delta**2 / math.log(z) ** C0
-    if M == 0:
-        return _report("MEAN_SQ", params, 0.0, reference, True, seed)
-    table = shared_prime_table(math.isqrt(2 * z + M) + 1)
-    rng = np.random.default_rng(seed)
-    ts = rng.integers(z + 1, 2 * z + 1, size=samples)
-    vals = [(float(_psi_increment(int(t), M, table).sum()) - M) ** 2 for t in ts]
-    estimate = float(np.mean(vals))
-    return _report("MEAN_SQ", params, estimate, reference,
-                   estimate <= reference, seed)
+    def square(t, M, lam):
+        return (float(lam.sum()) - M) ** 2
+
+    return _mean_square("MEAN_SQ", square, z, delta_exp, M_frac, samples, seed,
+                        C0, {})
 
 
 def mean_square_twisted_check(z: int, delta_exp: float = 0.4, M_frac: float = 1.0,
@@ -256,28 +268,13 @@ def mean_square_twisted_check(z: int, delta_exp: float = 0.4, M_frac: float = 1.
     chi = _group(q).characters[chi_index]
     if chi.is_principal:
         raise ValueError("chi must be non-principal")
-    delta = int(round(z**delta_exp))
-    M = int(round(M_frac * delta))
-    if not 0 <= M <= delta:
-        raise ValueError("require 0 <= M <= delta")
-    params = {"z": z, "delta_exp": delta_exp, "M_frac": M_frac, "q": q,
-              "chi_index": chi_index, "samples": samples, "C0": C0,
-              "delta": delta, "M": M}
-    reference = delta**2 / math.log(z) ** C0
-    if M == 0:
-        return _report("MEAN_SQ_TWISTED", params, 0.0, reference, True, seed)
-    table = shared_prime_table(math.isqrt(2 * z + M) + 1)
-    rng = np.random.default_rng(seed)
-    ts = rng.integers(z + 1, 2 * z + 1, size=samples)
-    vals = []
-    for t in ts:
-        t = int(t)
-        lam = _psi_increment(t, M, table)
+
+    def square(t, M, lam):
         chivals = chi.values[np.arange(t + 1, t + M + 1, dtype=np.int64) % q]
-        vals.append(abs(complex((lam * chivals).sum())) ** 2)
-    estimate = float(np.mean(vals))
-    return _report("MEAN_SQ_TWISTED", params, estimate, reference,
-                   estimate <= reference, seed)
+        return abs(complex((lam * chivals).sum())) ** 2
+
+    return _mean_square("MEAN_SQ_TWISTED", square, z, delta_exp, M_frac, samples,
+                        seed, C0, {"q": q, "chi_index": chi_index})
 
 
 def mean_square_exact(z: int, delta_exp: float, M_frac: float,

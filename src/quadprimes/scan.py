@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -65,12 +65,13 @@ class ScanConfig:
 
 
 @dataclass(frozen=True)
-class ProgressionRow:
-    k: int
-    lambda_sum: float
-    count: int
-    singular: float
-    residual: float
+class ScanColumns:
+    """Per-k columns of one scan; entry i belongs to k = i + 1."""
+    lambda_sum: np.ndarray
+    count: np.ndarray
+    singular: np.ndarray
+    residual: np.ndarray
+    stats: dict
 
 
 @dataclass(frozen=True)
@@ -188,47 +189,44 @@ def progression_sums(t: int, delta: int, K: int, table: PrimeTable | None = None
 
 
 def scan_all_k(config: ScanConfig, P: int = DEFAULT_TRUNCATION,
-               threads: int = 1) -> list[ProgressionRow]:
-    """ProgressionRow for every k <= K over the configured window."""
-    delta = config.window_delta
-    lam, counts, _ = progression_sums(config.z, delta, config.K, threads=threads)
+               threads: int = 1) -> ScanColumns:
+    """A_k, c_k, S(k) and A_k - S(k) c_k for every k <= K over the window."""
+    lam, counts, stats = progression_sums(config.z, config.window_delta, config.K,
+                                          threads=threads)
     sing = cached_singular_values(config.K, P)
-    rows = []
-    for i in range(config.K):
-        resid = float(lam[i] - sing[i] * counts[i])
-        rows.append(ProgressionRow(k=i + 1, lambda_sum=float(lam[i]),
-                                   count=int(counts[i]), singular=float(sing[i]),
-                                   residual=resid))
-    return rows
+    return ScanColumns(lambda_sum=lam, count=counts, singular=sing,
+                       residual=lam - sing * counts, stats=stats)
 
 
-def _moment_pieces(config: ScanConfig, t: int, delta: int, P: int, threads: int):
-    lam, counts, stats = progression_sums(t, delta, config.K, threads=threads)
-    sing = cached_singular_values(config.K, P)
-    resid = lam - sing * counts
-    return resid, stats
+def full_window_moment(config: ScanConfig, P: int = DEFAULT_TRUNCATION,
+                       threads: int = 1) -> tuple[ScanColumns, MomentReport]:
+    """Scan (z, 2z] and reduce it: lhs = sum_k (A_k - S(k) c_k)^2.
+
+    Compared against the bound K z / (log z)^B; the report also counts the
+    exceptional k (see exceptional_set).
+    """
+    if config.delta is not None and config.delta != config.z:
+        raise ValueError("the full-window moment uses (z, 2z]; leave delta unset")
+    scan = scan_all_k(config, P, threads)
+    lhs = float((scan.residual * scan.residual).sum())
+    bound = config.K * config.z / math.log(config.z) ** config.B
+    report = MomentReport(config=config, lhs=lhs, bound=bound, ratio=lhs / bound,
+                          exceptional_count=exceptional_set(scan.residual, config.z,
+                                                            config.B),
+                          runtime_stats=scan.stats)
+    return scan, report
 
 
 def theorem1_moment(config: ScanConfig, P: int = DEFAULT_TRUNCATION,
                     threads: int = 1) -> MomentReport:
-    """Full-window moment: lhs = sum_k (A_k - S(k) c_k)^2 over (z, 2z].
-
-    Compared against the bound K z / (log z)^B.
-    """
-    if config.delta is not None and config.delta != config.z:
-        raise ValueError("theorem1_moment uses the full window (z, 2z]; leave delta unset")
-    resid, stats = _moment_pieces(config, config.z, config.z, P, threads)
-    lhs = float((resid * resid).sum())
-    bound = config.K * config.z / math.log(config.z) ** config.B
-    exc = int((np.abs(resid) > math.sqrt(config.z) / math.log(config.z) ** config.B).sum())
-    return MomentReport(config=config, lhs=lhs, bound=bound, ratio=lhs / bound,
-                        exceptional_count=exc, runtime_stats=stats)
+    """Full-window moment report over (z, 2z]; see full_window_moment."""
+    return full_window_moment(config, P, threads)[1]
 
 
 def sample_points(z: int, t_samples: int, seed: int | None = None) -> list[int]:
     """t-sample grid in [z, 2z): evenly spaced, or seeded-uniform if seed given."""
     if t_samples < 1:
-        raise ValueError("t_samples must be >= 1")
+        raise ValueError("need at least one sample point")
     if seed is None:
         return [z + (j * z) // t_samples for j in range(t_samples)]
     rng = np.random.default_rng(seed)
@@ -250,11 +248,11 @@ def theorem2_moment(config: ScanConfig, P: int = DEFAULT_TRUNCATION,
     inner = []
     agg = {"seconds": 0.0, "segments": 0, "cells": 0, "threads": threads}
     for t in ts:
-        resid, stats = _moment_pieces(config, t, delta, P, threads)
-        inner.append(float((resid * resid).sum()))
-        agg["seconds"] += stats["seconds"]
-        agg["segments"] += stats["segments"]
-        agg["cells"] += stats["cells"]
+        scan = scan_all_k(replace(config, z=t), P, threads)  # window (t, t+delta]
+        inner.append(float((scan.residual * scan.residual).sum()))
+        agg["seconds"] += scan.stats["seconds"]
+        agg["segments"] += scan.stats["segments"]
+        agg["cells"] += scan.stats["cells"]
     inner_arr = np.asarray(inner)
     lhs = config.z * float(inner_arr.mean())
     bound = delta**2 * config.K / math.log(config.z) ** config.B
@@ -302,7 +300,7 @@ def theorem2_exact_integral(config: ScanConfig, P: int = DEFAULT_TRUNCATION,
     return total
 
 
-def exceptional_set(rows: list[ProgressionRow], z: int, B: float) -> int:
+def exceptional_set(residual: np.ndarray, z: int, B: float) -> int:
     """Count of k whose residual exceeds sqrt(z) / (log z)^B in magnitude."""
     threshold = math.sqrt(z) / math.log(z) ** B
-    return sum(1 for row in rows if abs(row.residual) > threshold)
+    return int((np.abs(residual) > threshold).sum())

@@ -140,12 +140,6 @@ def batch_singular_values(K: int, P: int) -> np.ndarray:
     return np.exp(logacc)
 
 
-def batch_singular_series(K: int, P: int) -> list[SingularValue]:
-    values = batch_singular_values(K, P)
-    return [SingularValue(k=i + 1, truncation_p=P, value=float(v), tail_estimate=0.0)
-            for i, v in enumerate(values)]
-
-
 # Prefix cache: values for k <= K are independent of K, so one big batch per
 # truncation P serves every smaller request by slicing.
 _batch_lock = threading.Lock()

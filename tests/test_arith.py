@@ -5,12 +5,17 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from quadprimes.arith import (euler_phi, integer_nth_root, integer_sqrt,
-                              is_prime, isqrt_array, kronecker, mobius,
-                              perfect_power_base, primes_up_to,
+from quadprimes.arith import (INT63_CAP, euler_phi, integer_nth_root,
+                              integer_sqrt, is_prime, isqrt_array, kronecker,
+                              mobius, perfect_power_base, primes_up_to,
                               shared_prime_table, sieve_window, von_mangoldt)
-from quadprimes.cache import CacheError, load_window, save_window, window_path
+from quadprimes.dispersion import _ceil_sqrt
+
+# the largest r with r^2 <= 2^63 - 1
+ROOT_CAP = math.isqrt(INT63_CAP)
 
 
 def legendre_brute(a: int, p: int) -> int:
@@ -167,6 +172,35 @@ def test_isqrt_array_exact():
         assert si == math.isqrt(xi)
 
 
+# squares and their neighbours at the top of the int64 range, where the
+# +-1 corrections once overflowed
+near_cap_squares = st.builds(lambda r, d: r * r + d,
+                             st.integers(ROOT_CAP - 1000, ROOT_CAP),
+                             st.integers(-2, 2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, INT63_CAP) | near_cap_squares, min_size=1,
+                max_size=20))
+@example([INT63_CAP, ROOT_CAP**2, ROOT_CAP**2 - 1, ROOT_CAP**2 + 1,
+          (ROOT_CAP - 1) ** 2, 0, 1, 2, 3])
+def test_isqrt_array_matches_math_isqrt(values):
+    got = isqrt_array(np.array(values, dtype=np.int64)).tolist()
+    assert got == [math.isqrt(v) for v in values]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-10**6, INT63_CAP) | near_cap_squares, min_size=1,
+                max_size=20))
+@example([ROOT_CAP**2, ROOT_CAP**2 + 1, ROOT_CAP**2 - 1, INT63_CAP, -5, 0, 1, 2])
+def test_ceil_sqrt_matches_math_isqrt(values):
+    expect = []
+    for v in values:
+        r = math.isqrt(max(v, 0))
+        expect.append(r + (r * r < v))
+    assert _ceil_sqrt(np.array(values, dtype=np.int64)).tolist() == expect
+
+
 # ---------------------------------------------------------------------------
 # primality and von Mangoldt
 # ---------------------------------------------------------------------------
@@ -239,7 +273,7 @@ def test_sieve_window_small_example():
     primes = {2, 3, 5, 7, 11}
     nonzero = {2, 3, 4, 5, 7, 8, 9, 11}
     for n in range(2, 12):
-        assert win.prime_flags[n - 2] == (n in primes)
+        assert (win.lam[n - 2] == pytest.approx(math.log(n), rel=1e-12)) == (n in primes)
         assert (win.lam[n - 2] > 0) == (n in nonzero)
     assert win.lam[4 - 2] == pytest.approx(math.log(2), rel=1e-12)
     assert win.lam[9 - 2] == pytest.approx(math.log(3), rel=1e-12)
@@ -247,7 +281,7 @@ def test_sieve_window_small_example():
 
 def test_sieve_window_composite_singleton():
     win = sieve_window(100, 101, primes_up_to(11))
-    assert not win.prime_flags[0]
+    assert len(win) == 1
     assert win.lam[0] == 0.0
 
 
@@ -257,8 +291,7 @@ def test_sieve_window_invariants():
     assert len(win) == 1000
     for i in range(len(win)):
         n = win.lo + i
-        if win.prime_flags[i]:
-            assert win.lam[i] == pytest.approx(math.log(n), rel=1e-12)
+        assert (win.lam[i] == pytest.approx(math.log(n), rel=1e-12)) == is_prime(n)
         if win.lam[i] > 0:
             base, _ = perfect_power_base(n)
             assert is_prime(base)
@@ -276,8 +309,6 @@ def test_sieve_window_split_law():
         left = sieve_window(a, b, table)
         right = sieve_window(b, c, table)
         assert np.array_equal(whole.lam, np.concatenate((left.lam, right.lam)))
-        assert np.array_equal(whole.prime_flags,
-                              np.concatenate((left.prime_flags, right.prime_flags)))
 
 
 def test_sieve_window_matches_von_mangoldt_on_random_windows():
@@ -325,38 +356,3 @@ def test_prime_table_invariants():
     missing = [n for n in range(2, 2001)
                if is_prime(n) and n not in set(table.primes.tolist())]
     assert missing == []
-
-
-# ---------------------------------------------------------------------------
-# on-disk cache
-# ---------------------------------------------------------------------------
-
-def test_cache_roundtrip(tmp_path):
-    win = sieve_window(1000, 2029, shared_prime_table(50))
-    path = window_path(tmp_path, win.lo, win.hi)
-    save_window(win, path)
-    back = load_window(path, expected_lo=1000, expected_hi=2029)
-    assert np.array_equal(back.lam, win.lam)
-    assert np.array_equal(back.prime_flags, win.prime_flags)
-
-
-def test_cache_rejects_corruption(tmp_path):
-    win = sieve_window(50, 150, shared_prime_table(13))
-    path = window_path(tmp_path, 50, 150)
-    save_window(win, path)
-    raw = bytearray(path.read_bytes())
-    raw[0] = ord("X")  # break the magic
-    path.write_bytes(bytes(raw))
-    with pytest.raises(CacheError):
-        load_window(path)
-
-
-def test_cache_rejects_mismatch_and_truncation(tmp_path):
-    win = sieve_window(50, 150, shared_prime_table(13))
-    path = window_path(tmp_path, 50, 150)
-    save_window(win, path)
-    with pytest.raises(CacheError):
-        load_window(path, expected_lo=51)
-    path.write_bytes(path.read_bytes()[:-5])
-    with pytest.raises(CacheError):
-        load_window(path)

@@ -1,4 +1,4 @@
-"""Tests for the command-line runner: parsing, outputs, exit codes, cache."""
+"""Tests for the command-line runner: parsing, outputs, exit codes."""
 
 import json
 
@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import quadprimes.cli as cli
-from quadprimes.cli import CliError, RunConfig, cache_ops, main, parse_config
+from quadprimes.cli import CliError, RunConfig, main, parse_config
 from quadprimes.lemmas import LemmaReport
+from quadprimes.scan import ScanConfig, theorem1_moment
 
 GOLDEN_SCAN_Z100_K5 = """k,lambda_sum,count,singular,residual
 1,9.898324245579248,5,1.3723504822225472,3.0365718344665122
@@ -42,6 +43,11 @@ def test_parse_unknown_command_and_key():
         parse_config(["frobnicate"])
     with pytest.raises(CliError, match="unknown key: zz"):
         parse_config(["moment1", "--zz=5"])
+    for key in ("tol", "x", "lo", "hi", "action", "cache_dir"):  # removed keys
+        with pytest.raises(CliError, match=f"unknown key: {key}$"):
+            parse_config(["moment1", "--z=1000", "--K=10", f"--{key}=1"])
+    with pytest.raises(CliError, match="unknown command: cache"):
+        parse_config(["cache", "--action=stat"])
     with pytest.raises(CliError, match="missing command"):
         parse_config([])
 
@@ -75,21 +81,6 @@ def test_config_file_errors(tmp_path):
         parse_config(["moment1", f"--config={tmp_path}/nope.cfg"])
 
 
-def test_cache_command_validation():
-    with pytest.raises(CliError, match="action"):
-        parse_config(["cache", "--action=defrag"])
-    with pytest.raises(CliError, match="lo/hi"):
-        parse_config(["cache", "--action=warm"])
-
-
-def test_cache_dir_sources(monkeypatch, tmp_path):
-    monkeypatch.setenv("QUADPRIMES_CACHE_DIR", str(tmp_path / "envcache"))
-    cfg = parse_config(["cache", "--action=stat"])
-    assert cfg.cache_dir == tmp_path / "envcache"
-    cfg = parse_config(["cache", "--action=stat", "--cache_dir=/tmp/explicit"])
-    assert str(cfg.cache_dir) == "/tmp/explicit"  # flag beats the environment
-
-
 # ---------------------------------------------------------------------------
 # runs and outputs
 # ---------------------------------------------------------------------------
@@ -114,6 +105,17 @@ def test_moment1_deterministic_reruns(tmp_path):
     s2 = json.loads((out2 / "summary.json").read_text())
     assert s1["content_hash"] == s2["content_hash"]
     assert s1["moment"]["lhs"] == s2["moment"]["lhs"]
+
+
+def test_moment1_reports_scan_stats_and_theorem1_values(tmp_path):
+    assert main(["moment1", "--z=20000", "--K=150", "--B=1.5", f"--out={tmp_path}"]) == 0
+    moment = json.loads((tmp_path / "summary.json").read_text())["moment"]
+    assert moment["runtime_stats"]["segments"] > 0
+    assert moment["runtime_stats"]["cells"] > 0
+    report = theorem1_moment(ScanConfig(z=20000, K=150, B=1.5))
+    assert moment["lhs"] == report.lhs
+    assert moment["exceptional_count"] == report.exceptional_count
+    assert moment["bound"] == report.bound
 
 
 def test_moment2_outputs_and_seed_echo(tmp_path):
@@ -174,47 +176,3 @@ def test_singular_and_constant_commands(tmp_path):
 def test_error_exit_code_from_main(tmp_path):
     assert main(["moment2", "--z=100", "--K=2"]) == 1  # missing delta
     assert main(["nonsense"]) == 1
-
-
-# ---------------------------------------------------------------------------
-# cache management
-# ---------------------------------------------------------------------------
-
-def test_cache_clear_empty(tmp_path):
-    report = cache_ops(tmp_path / "empty", "clear")
-    assert report["removed"] == 0
-
-
-def test_cache_warm_then_stat_then_clear(tmp_path):
-    cdir = tmp_path / "cache"
-    warm = cache_ops(cdir, "warm", lo=10**6, hi=2 * 10**6, segment=1 << 19)
-    assert len(warm["files"]) >= 1
-    stat = cache_ops(cdir, "stat")
-    assert len(stat["files"]) == len(warm["files"])
-    assert stat["corrupt"] == []
-    cleared = cache_ops(cdir, "clear")
-    assert cleared["removed"] == len(warm["files"])
-    assert cache_ops(cdir, "stat")["files"] == []
-
-
-def test_cache_corrupt_file_reported_and_removed(tmp_path, capsys):
-    cdir = tmp_path / "cache"
-    cache_ops(cdir, "warm", lo=1000, hi=3000)
-    victim = sorted(cdir.glob("*.svw"))[0]
-    victim.write_bytes(b"not a cache file at all")
-    stat = cache_ops(cdir, "stat")
-    assert victim.name in stat["corrupt"]
-    assert not victim.exists()
-    err = capsys.readouterr().err
-    assert "corrupt" in err
-
-
-def test_cache_cli_roundtrip(tmp_path):
-    code = main(["cache", "--action=warm", "--lo=4000", "--hi=6000",
-                 f"--cache_dir={tmp_path}/cc", f"--out={tmp_path}/out"])
-    assert code == 0
-    code = main(["cache", "--action=stat",
-                 f"--cache_dir={tmp_path}/cc", f"--out={tmp_path}/out2"])
-    assert code == 0
-    lines = (tmp_path / "out2" / "results.csv").read_text().strip().splitlines()
-    assert len(lines) == 2 and lines[0] == "file,lo,hi,cells"

@@ -8,8 +8,7 @@ import pytest
 
 from quadprimes.arith import euler_phi, von_mangoldt
 from quadprimes.dispersion import (DispersionParams, dispersion_profile,
-                                   identity_check, m_tilde, u_term, v_term,
-                                   w_term)
+                                   identity_check, m_tilde)
 from quadprimes.scan import window_count, window_lambda_sum
 from quadprimes.singular import cached_singular_values
 
@@ -62,16 +61,13 @@ def test_params_derived_quantities():
 
 def test_terms_vanish_for_empty_window():
     p = DispersionParams(z=100, K=5, delta=0)
-    assert u_term(p, 150) == 0.0
-    assert v_term(p, 150) == 0.0
-    assert w_term(p, 150) == 0.0
     s = identity_check(p, 150)
     assert s.U == s.V == s.W == s.combined == s.direct_square == 0.0
 
 
 def test_u_term_single_contribution():
     p = DispersionParams(z=100, K=1, delta=50)
-    assert u_term(p, 100) == pytest.approx(math.log(101) ** 2, rel=1e-12)
+    assert identity_check(p, 100).U == pytest.approx(math.log(101) ** 2, rel=1e-12)
 
 
 def test_u_term_factored_equals_double_loop():
@@ -81,23 +77,15 @@ def test_u_term_factored_equals_double_loop():
         delta = rng.randint(0, 200)
         K = rng.randint(1, 20)
         p = DispersionParams(z=max(t, 3), K=K, delta=delta)
-        assert u_term(p, t) == pytest.approx(u_double_loop(t, delta, K),
-                                             rel=1e-9, abs=1e-9)
+        assert identity_check(p, t).U == pytest.approx(u_double_loop(t, delta, K),
+                                                       rel=1e-9, abs=1e-9)
 
 
 def test_v_term_pinned_components():
     p = DispersionParams(z=100, K=1, delta=50)
     s1 = float(cached_singular_values(1, 10**5)[0])
-    assert v_term(p, 100, P=10**5) == pytest.approx(
+    assert identity_check(p, 100, P=10**5).V == pytest.approx(
         s1 * 3 * math.log(101), rel=1e-12)
-
-
-def test_v_term_linear_in_singular_scale():
-    p = DispersionParams(z=1000, K=20, delta=300)
-    base = cached_singular_values(20, 10**4)
-    v1 = v_term(p, 1200, singular_values=base)
-    v2 = v_term(p, 1200, singular_values=2 * base)
-    assert v2 == pytest.approx(2 * v1, rel=1e-12)
 
 
 def test_w_term_pinned_components():
@@ -105,24 +93,28 @@ def test_w_term_pinned_components():
     sing = cached_singular_values(2, 10**5)
     expect = sing[0] ** 2 * 9 + sing[1] ** 2 * 9  # counts are 3 and 3
     assert window_count(1, 100, 50) == window_count(2, 100, 50) == 3
-    assert w_term(p, 100, P=10**5) == pytest.approx(float(expect), rel=1e-12)
-    assert w_term(p, 100) >= 0.0
+    assert identity_check(p, 100, P=10**5).W == pytest.approx(float(expect), rel=1e-12)
+    assert identity_check(p, 100).W >= 0.0
 
 
 def test_identity_assembled_from_components():
     p = DispersionParams(z=100, K=2, delta=50)
     s = identity_check(p, 100, P=10**5)
     sing = cached_singular_values(2, 10**5)
-    direct = 0.0
+    direct = U = V = W = 0.0
     for k in (1, 2):
         a = window_lambda_sum(k, 100, 50)
         c = window_count(k, 100, 50)
-        direct += (a - float(sing[k - 1]) * c) ** 2
+        sk = float(sing[k - 1])
+        direct += (a - sk * c) ** 2
+        U += a * a
+        V += sk * c * a
+        W += (sk * c) ** 2
     assert s.direct_square == pytest.approx(direct, rel=1e-12)
     assert s.combined == pytest.approx(direct, rel=1e-9)
-    assert s.U == pytest.approx(u_term(p, 100), rel=1e-12)
-    assert s.V == pytest.approx(v_term(p, 100, P=10**5), rel=1e-12)
-    assert s.W == pytest.approx(w_term(p, 100, P=10**5), rel=1e-12)
+    assert s.U == pytest.approx(U, rel=1e-12)
+    assert s.V == pytest.approx(V, rel=1e-12)
+    assert s.W == pytest.approx(W, rel=1e-12)
 
 
 def test_identity_random_instances():

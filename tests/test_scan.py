@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from quadprimes.arith import von_mangoldt
-from quadprimes.scan import (MomentReport, ProgressionRow, ScanConfig,
-                             exceptional_set, progression_sums, sample_points,
-                             scan_all_k, theorem1_moment, theorem2_exact_integral,
+from quadprimes.scan import (MomentReport, ScanConfig, exceptional_set,
+                             progression_sums, sample_points, scan_all_k,
+                             theorem1_moment, theorem2_exact_integral,
                              theorem2_moment, window_count, window_lambda_sum)
 from quadprimes.singular import cached_singular_values
 
@@ -67,20 +67,22 @@ def test_window_lambda_sum_overflow_guard():
 # ---------------------------------------------------------------------------
 
 def test_scan_all_k_small_example():
-    rows = scan_all_k(ScanConfig(z=100, K=10))
-    row1 = rows[0]
-    assert row1.count == 5
-    assert row1.lambda_sum == pytest.approx(math.log(101) + math.log(197), rel=1e-12)
-    assert row1.residual == pytest.approx(
-        row1.lambda_sum - row1.singular * row1.count, rel=1e-12)
+    scan = scan_all_k(ScanConfig(z=100, K=10))
+    assert len(scan.residual) == 10
+    assert scan.count[0] == 5
+    assert scan.lambda_sum[0] == pytest.approx(math.log(101) + math.log(197), rel=1e-12)
+    assert scan.residual[0] == pytest.approx(
+        scan.lambda_sum[0] - scan.singular[0] * scan.count[0], rel=1e-12)
+    assert np.array_equal(scan.singular, cached_singular_values(10, 10**5))
+    assert scan.stats["segments"] > 0 and scan.stats["cells"] > 0
 
 
 def test_scan_matches_per_k_evaluation():
-    rows = scan_all_k(ScanConfig(z=1000, K=50))
-    for row in rows:
-        assert row.count == window_count(row.k, 1000, 1000)
-        assert row.lambda_sum == pytest.approx(
-            window_lambda_sum(row.k, 1000, 1000), rel=1e-9, abs=1e-9)
+    scan = scan_all_k(ScanConfig(z=1000, K=50))
+    for k in range(1, 51):
+        assert scan.count[k - 1] == window_count(k, 1000, 1000)
+        assert scan.lambda_sum[k - 1] == pytest.approx(
+            window_lambda_sum(k, 1000, 1000), rel=1e-9, abs=1e-9)
 
 
 def test_scan_partial_window():
@@ -133,8 +135,8 @@ def test_scan_config_validation_and_warnings():
 
 def test_theorem1_single_k():
     report = theorem1_moment(ScanConfig(z=500, K=1, B=1.0))
-    rows = scan_all_k(ScanConfig(z=500, K=1))
-    assert report.lhs == pytest.approx(rows[0].residual ** 2, rel=1e-12)
+    scan = scan_all_k(ScanConfig(z=500, K=1))
+    assert report.lhs == pytest.approx(scan.residual[0] ** 2, rel=1e-12)
     assert report.bound == pytest.approx(500 / math.log(500), rel=1e-12)
     assert report.ratio == pytest.approx(report.lhs / report.bound, rel=1e-12)
 
@@ -190,18 +192,16 @@ def test_sample_points_conventions():
 
 
 def test_exceptional_set():
-    rows = [ProgressionRow(k=i + 1, lambda_sum=0.0, count=0, singular=1.0,
-                           residual=r) for i, r in enumerate([0.0, 5.0, 50.0, 500.0])]
-    assert exceptional_set(rows, z=10**6, B=0.0) == 0          # threshold 1000
-    assert exceptional_set(rows, z=10**6, B=1.0) == 1          # threshold ~72.4
-    assert exceptional_set(rows, z=10**6, B=2.0) == 2          # threshold ~5.24
-    zero_rows = [ProgressionRow(k=1, lambda_sum=0, count=0, singular=1, residual=0.0)]
-    assert exceptional_set(zero_rows, z=100, B=0.0) == 0
+    residual = np.array([0.0, 5.0, -50.0, 500.0])
+    assert exceptional_set(residual, z=10**6, B=0.0) == 0      # threshold 1000
+    assert exceptional_set(residual, z=10**6, B=1.0) == 1      # threshold ~72.4
+    assert exceptional_set(residual, z=10**6, B=2.0) == 2      # threshold ~5.24
+    assert exceptional_set(np.zeros(1), z=100, B=0.0) == 0
 
 
 def test_exceptional_fraction_small_at_desk_scale():
-    rows = scan_all_k(ScanConfig(z=10**6, K=10**3))
-    frac = exceptional_set(rows, z=10**6, B=0.0) / 10**3
+    scan = scan_all_k(ScanConfig(z=10**6, K=10**3))
+    frac = exceptional_set(scan.residual, z=10**6, B=0.0) / 10**3
     assert frac < 0.20
 
 

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from quadprimes.singular import (batch_singular_series, batch_singular_values,
-                                 lower_bound_diagnostic, main_term_constant,
-                                 singular_series, truncated_singular_series)
+from quadprimes.singular import (batch_singular_values, lower_bound_diagnostic,
+                                 main_term_constant, singular_series,
+                                 truncated_singular_series)
 
 
 def zeta3_series(N: int = 20000) -> float:
@@ -73,12 +73,6 @@ def test_batch_matches_single_evaluations():
     for k in (1, 2, 3, 17, 100, 512, 999, 1000):
         single = truncated_singular_series(k, 10**4).value
         assert vals[k - 1] == pytest.approx(single, rel=1e-12)
-
-
-def test_batch_wrapper_records_metadata():
-    out = batch_singular_series(5, 100)
-    assert [sv.k for sv in out] == [1, 2, 3, 4, 5]
-    assert all(sv.truncation_p == 100 for sv in out)
 
 
 def test_scale_invariance_s_of_4k():
