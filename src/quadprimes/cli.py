@@ -8,7 +8,8 @@ config echo, a git-style content hash of the CSV, timings) into the output
 directory, so a run is reproducible from its summary alone.
 
 Exit codes: 0 success, 2 when a computed check reports pass=false,
-1 for any error (unknown command/key, malformed value, I/O failure).
+1 for any error (unknown command/key, malformed or out-of-range value,
+I/O failure).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .dispersion import DispersionParams, dispersion_profile
 from .lemmas import default_grid
 from .scan import (MomentReport, ScanColumns, ScanConfig, full_window_moment,
                    scan_all_k, theorem2_moment)
-from .singular import batch_singular_values, main_term_constant
+from .singular import _singular_values, main_term_constant
 
 COMMANDS = ("scan", "moment1", "moment2", "dispersion", "lemmas",
             "singular", "constant")
@@ -262,8 +263,9 @@ def _run_lemmas(config: RunConfig, started: float) -> int:
 def _run_singular(config: RunConfig, started: float) -> int:
     p = config.parameters
     K, P = p["K"], p["P"]
-    values = batch_singular_values(K, P)
-    tails = np.abs(values - batch_singular_values(K, max(3, P // 2)))
+    # the tail column is the change since P/2, read from the same pass
+    half, values = _singular_values(K, (max(3, P // 2), P))
+    tails = np.abs(values - half)
     rows = [f"{k + 1},{P},{values[k]!r},{tails[k]!r}" for k in range(K)]
     _write_outputs(config, "k,P,value,tail_estimate", rows, {}, started)
     return 0
@@ -298,6 +300,8 @@ def run(config: RunConfig) -> int:
         raise
     except OSError as exc:
         raise CliError(f"I/O failure: {exc}") from exc
+    except ValueError as exc:       # the library's own range checks
+        raise CliError(str(exc)) from exc
 
 
 def main(argv: list[str] | None = None) -> int:

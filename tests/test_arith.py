@@ -61,6 +61,26 @@ def test_kronecker_matches_brute_legendre():
         assert kronecker(a, p) == legendre_brute(a, p), (a, p)
 
 
+# odd primes: every one below 10^4, and a few large ones up to the int64 cap
+odd_primes = (st.sampled_from([int(p) for p in primes_up_to(10**4).primes[1:]])
+              | st.sampled_from([10**9 + 7, 2**31 - 1, 2**61 - 1,
+                                 9223372036854775783]))   # largest below 2^63
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-2**64, 2**64), odd_primes)
+def test_kronecker_matches_euler_criterion(a, p):
+    euler = pow(a % p, (p - 1) // 2, p)        # 0, 1 or p - 1
+    assert kronecker(a, p) == {0: 0, 1: 1, p - 1: -1}[euler]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-10**12, 10**12), st.integers(-10**12, 10**12),
+       st.integers(1, 10**6))
+def test_kronecker_multiplicative_in_a(a, b, n):
+    assert kronecker(a * b, n) == kronecker(a, n) * kronecker(b, n)
+
+
 def test_kronecker_example_composite():
     assert kronecker(2, 15) == legendre_brute(2, 3) * legendre_brute(2, 5) == 1
 
@@ -161,6 +181,24 @@ def test_integer_nth_root():
         n = rng.randint(0, 2**60)
         r = integer_nth_root(n, e)
         assert r**e <= n < (r + 1) ** e
+
+
+# perfect powers r^e and their neighbours, capped at 2^63 - 1
+near_powers = st.builds(lambda e, x, d: (e, min(max(integer_nth_root(x, e) ** e + d, 0),
+                                                INT63_CAP)),
+                        st.integers(2, 63), st.integers(0, INT63_CAP),
+                        st.integers(-1, 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(st.integers(1, 64), st.integers(0, INT63_CAP)) | near_powers)
+@example((2, INT63_CAP))
+@example((3, 2097151**3))
+@example((62, 2**62))
+def test_integer_nth_root_brackets_n(case):
+    e, n = case
+    r = integer_nth_root(n, e)
+    assert r**e <= n < (r + 1) ** e
 
 
 def test_isqrt_array_exact():

@@ -1,6 +1,7 @@
 """Tests for the command-line runner: parsing, outputs, exit codes."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import quadprimes.cli as cli
 from quadprimes.cli import CliError, RunConfig, main, parse_config
 from quadprimes.lemmas import LemmaReport
 from quadprimes.scan import ScanConfig, theorem1_moment
+from quadprimes.singular import batch_singular_values
 
 GOLDEN_SCAN_Z100_K5 = """k,lambda_sum,count,singular,residual
 1,9.898324245579248,5,1.3723504822225472,3.0365718344665122
@@ -173,6 +175,37 @@ def test_singular_and_constant_commands(tmp_path):
     assert summary["constant"] == pytest.approx(1.2957, abs=1e-3)
 
 
+@pytest.mark.parametrize("K, P", [(300, 1000), (40, 5), (5, 3)])
+def test_singular_tail_column_is_the_change_since_half_P(tmp_path, K, P):
+    assert main(["singular", f"--K={K}", f"--P={P}", f"--out={tmp_path}"]) == 0
+    # the command writes numpy scalar reprs, np.float64(...), into the CSV
+    text = re.sub(r"np\.float64\(([^)]*)\)", r"\1",
+                  (tmp_path / "results.csv").read_text())
+    rows = [r.split(",") for r in text.splitlines()[1:]]
+    values = np.array([float(r[2]) for r in rows])
+    tails = np.array([float(r[3]) for r in rows])
+    full = batch_singular_values(K, P)
+    assert values.view(np.int64).tolist() == full.view(np.int64).tolist()
+    expect = np.abs(full - batch_singular_values(K, max(3, P // 2)))
+    assert tails.view(np.int64).tolist() == expect.view(np.int64).tolist()
+
+
 def test_error_exit_code_from_main(tmp_path):
     assert main(["moment2", "--z=100", "--K=2"]) == 1  # missing delta
     assert main(["nonsense"]) == 1
+
+
+def test_library_range_error_moment1_z_too_small(tmp_path, capsys):
+    assert main(["moment1", "--z=2", "--K=1", f"--out={tmp_path}"]) == 1
+    assert capsys.readouterr().err == "error: z must be >= 3\n"
+
+
+def test_library_range_error_singular_k_zero(tmp_path, capsys):
+    assert main(["singular", "--K=0", f"--out={tmp_path}"]) == 1
+    assert capsys.readouterr().err == "error: K must be positive\n"
+
+
+def test_library_range_error_dispersion_empty_grid(tmp_path, capsys):
+    assert main(["dispersion", "--z=1000000", "--K=100", "--delta=1000",
+                 "--grid=0", f"--out={tmp_path}"]) == 1
+    assert capsys.readouterr().err == "error: need at least one sample point\n"

@@ -5,8 +5,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from quadprimes.arith import von_mangoldt
+from quadprimes.arith import INT63_CAP, von_mangoldt
 from quadprimes.scan import (MomentReport, ScanConfig, exceptional_set,
                              progression_sums, sample_points, scan_all_k,
                              theorem1_moment, theorem2_exact_integral,
@@ -49,6 +51,32 @@ def test_window_count_random_against_enumeration():
         t = rng.randint(0, 10**6)
         delta = rng.randint(0, 2000)
         assert window_count(k, t, delta) == count_brute(k, t, delta), (k, t, delta)
+
+
+def count_walk(k, t, delta):
+    """Brute count over n from a float estimate of the lowest n, for t up to 2^63."""
+    n = max(1, int(math.sqrt(max(t - k, 0))) - 2)
+    assert n == 1 or (n - 1) ** 2 + k <= t      # no n below the start counts
+    c = 0
+    while n * n + k <= t + delta:
+        c += n * n + k > t
+        n += 1
+    return c
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10**4), st.integers(0, 10**6), st.integers(0, 10**4))
+def test_window_count_matches_enumeration_from_one(k, t, delta):
+    assert window_count(k, t, delta) == count_brute(k, t, delta)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10**6), st.integers(0, INT63_CAP - 2 * 10**7),
+       st.integers(0, 10**7))
+@example(1, INT63_CAP - 10**7 - 1, 10**7)
+@example(1, 3037000499**2 - 2, 1)
+def test_window_count_matches_enumeration_up_to_cap(k, t, delta):
+    assert window_count(k, t, delta) == count_walk(k, t, delta)
 
 
 def test_window_lambda_sum_examples():

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from quadprimes.singular import (batch_singular_values, lower_bound_diagnostic,
+from quadprimes.singular import (_odd_primes_up_to, _reciprocity_block,
+                                 batch_singular_values, lower_bound_diagnostic,
                                  main_term_constant, singular_series,
                                  truncated_singular_series)
 
@@ -66,6 +67,46 @@ def test_batch_hand_cases():
     for k in range(1, 4):
         assert vals[k - 1] == pytest.approx(
             truncated_singular_series(k, 5).value, rel=1e-12)
+
+
+def per_prime_table_batch(K: int, P: int) -> np.ndarray:
+    """Oracle: one float Legendre table of length p per odd prime p <= P,
+    its factor-log pattern tiled across k = 1..K (O(p) work per prime)."""
+    logacc = np.zeros(K, dtype=np.float64)
+    for p in _odd_primes_up_to(P):
+        p = int(p)
+        leg = np.full(p, -1.0)
+        leg[0] = 0.0
+        sq = (np.arange(1, (p - 1) // 2 + 1, dtype=np.int64) ** 2) % p
+        leg[sq] = 1.0
+        flog = np.log1p(-leg / (p - 1.0))       # indexed by (-k) mod p
+        # pattern over k = 1, 2, ...: (-k) mod p walks p-1, p-2, ..., 1, 0
+        pattern = np.concatenate((flog[:0:-1], flog[:1]))
+        logacc += np.resize(pattern, K)
+    return np.exp(logacc)
+
+
+@pytest.mark.parametrize("K, P, reciprocity", [
+    (1, 3, False),           # smallest batch
+    (1, 1000, True),
+    (2, 100, True),
+    (3, 3, False),           # K = p
+    (7, 100, True),          # p = 3, 5, 7 <= K by pattern, p > K by reciprocity
+    (11, 11, False),
+    (100, 7, False),         # K > P
+    (100, 50, False),
+    (97, 1000, True),        # p | k for every p <= K
+    (257, 5000, True),
+    (1000, 10**4, True),
+    (2000, 10**4, False),    # tables too big for P: primes > K fall back
+    (3982, 20000, False),
+    (3982, 10**5, True),     # the dispersion benchmark's batch
+])
+def test_batch_bit_identical_to_per_prime_tables(K, P, reciprocity):
+    assert (_reciprocity_block(K, P) > 0) == reciprocity
+    new = batch_singular_values(K, P)
+    old = per_prime_table_batch(K, P)
+    assert np.array_equal(new.view(np.int64), old.view(np.int64))
 
 
 def test_batch_matches_single_evaluations():
