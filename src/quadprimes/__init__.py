@@ -13,9 +13,8 @@ from .lemmas import (LemmaReport, large_sieve_avg_check, large_sieve_single_chec
 from .scan import (MomentReport, ScanColumns, ScanConfig, exceptional_set,
                    full_window_moment, scan_all_k, theorem1_moment, theorem2_moment,
                    window_count, window_lambda_sum)
-from .singular import (SingularValue, batch_singular_values, lower_bound_diagnostic,
-                       main_term_constant, singular_series,
-                       truncated_singular_series)
+from .singular import (batch_singular_values, lower_bound_diagnostic,
+                       main_term_constant)
 
 __version__ = "0.1.0"
 
@@ -24,9 +23,7 @@ __all__ = [
     "kronecker", "mobius", "primes_up_to", "sieve_window", "von_mangoldt",
     "Character", "CharacterTable", "build_character_group", "evaluate",
     "primitive_characters",
-    "SingularValue", "batch_singular_values",
-    "lower_bound_diagnostic", "main_term_constant", "singular_series",
-    "truncated_singular_series",
+    "batch_singular_values", "lower_bound_diagnostic", "main_term_constant",
     "MomentReport", "ScanColumns", "ScanConfig", "exceptional_set",
     "full_window_moment", "scan_all_k", "theorem1_moment", "theorem2_moment",
     "window_count", "window_lambda_sum",

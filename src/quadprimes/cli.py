@@ -32,30 +32,26 @@ from .singular import _singular_values, main_term_constant
 COMMANDS = ("scan", "moment1", "moment2", "dispersion", "lemmas",
             "singular", "constant")
 
-# name -> (type, required-for-commands, default)
+# key -> type of its value
 _PARAM_TYPES = {
-    "z": int, "K": int, "delta": int, "B": float, "C": float, "P": int,
+    "z": int, "K": int, "delta": int, "B": float, "P": int,
     "t_samples": int, "seed": int, "grid": int, "threads": int,
     "out": str, "config": str,
 }
 
-_REQUIRED = {
-    "scan": ("z", "K"),
-    "moment1": ("z", "K"),
-    "moment2": ("z", "K", "delta"),
-    "dispersion": ("z", "K", "delta"),
-    "lemmas": (),
-    "singular": ("K",),
-    "constant": (),
-}
+_REQUIRED = object()     # marks a key that has no default
 
-_DEFAULTS = {
-    "scan": {"P": 10**5, "delta": None},
-    "moment1": {"B": 1.0, "P": 10**5},
-    "moment2": {"B": 1.0, "P": 10**5, "t_samples": 16, "seed": None},
-    "dispersion": {"B": 1.0, "C": 2.0, "P": 10**5, "grid": 64, "seed": None},
+# command -> {key: default} for every key the command reads, besides the
+# --out and --config that every command takes; any other key is refused.
+_KEYS = {
+    "scan": {"z": _REQUIRED, "K": _REQUIRED, "delta": None, "P": 10**5, "threads": 1},
+    "moment1": {"z": _REQUIRED, "K": _REQUIRED, "B": 1.0, "P": 10**5, "threads": 1},
+    "moment2": {"z": _REQUIRED, "K": _REQUIRED, "delta": _REQUIRED, "B": 1.0,
+                "P": 10**5, "t_samples": 16, "seed": None, "threads": 1},
+    "dispersion": {"z": _REQUIRED, "K": _REQUIRED, "delta": _REQUIRED, "B": 1.0,
+                   "P": 10**5, "grid": 64, "seed": None, "threads": 1},
     "lemmas": {"seed": 0},
-    "singular": {"P": 10**5},
+    "singular": {"K": _REQUIRED, "P": 10**5},
     "constant": {"P": 10**6},
 }
 
@@ -107,8 +103,8 @@ def _read_config_file(path: str | Path) -> dict:
 def parse_config(args: list[str], file: str | Path | None = None) -> RunConfig:
     """Build a RunConfig from CLI tokens and an optional config file.
 
-    Flags override file values; unknown commands/keys and malformed values
-    raise CliError with a distinct message.
+    Flags override file values; unknown commands/keys, keys the command
+    does not read and malformed values raise CliError with a distinct message.
     """
     if not args:
         raise CliError(f"missing command (one of: {', '.join(COMMANDS)})")
@@ -125,19 +121,22 @@ def parse_config(args: list[str], file: str | Path | None = None) -> RunConfig:
         flag_values[key] = _coerce(key, raw)
 
     file_path = flag_values.pop("config", None) or file
-    merged = dict(_DEFAULTS.get(command, {}))
-    if file_path is not None:
-        merged.update(_read_config_file(file_path))
+    merged = _read_config_file(file_path) if file_path is not None else {}
     merged.update(flag_values)
 
-    for key in _REQUIRED[command]:
-        if merged.get(key) is None:
+    keys = _KEYS[command]
+    for key in merged:
+        if key not in keys and key not in ("out", "config"):
+            raise CliError(f"{command} does not take --{key}")
+    for key, default in keys.items():
+        merged.setdefault(key, default)
+        if merged[key] is _REQUIRED:
             raise CliError(f"missing required key: {key}")
 
     out = merged.pop("out", None) or f"runs/{command}"
     threads = merged.pop("threads", None) or 1
     return RunConfig(command=command, parameters=merged,
-                     output_dir=Path(out), threads=int(threads))
+                     output_dir=Path(out), threads=threads)
 
 
 def _content_hash(data: bytes) -> str:
@@ -227,8 +226,7 @@ def _run_moment2(config: RunConfig, started: float) -> int:
 
 def _run_dispersion(config: RunConfig, started: float) -> int:
     p = config.parameters
-    params = DispersionParams(z=p["z"], K=p["K"], delta=p["delta"],
-                              B=p["B"], C=p["C"])
+    params = DispersionParams(z=p["z"], K=p["K"], delta=p["delta"], B=p["B"])
     samples, summary = dispersion_profile(params, P=p["P"],
                                           grid_points=p["grid"],
                                           seed=p.get("seed"),
@@ -266,7 +264,8 @@ def _run_singular(config: RunConfig, started: float) -> int:
     # the tail column is the change since P/2, read from the same pass
     half, values = _singular_values(K, (max(3, P // 2), P))
     tails = np.abs(values - half)
-    rows = [f"{k + 1},{P},{values[k]!r},{tails[k]!r}" for k in range(K)]
+    rows = [f"{k},{P},{value!r},{tail!r}"
+            for k, (value, tail) in enumerate(zip(values.tolist(), tails.tolist()), 1)]
     _write_outputs(config, "k,P,value,tail_estimate", rows, {}, started)
     return 0
 

@@ -23,9 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import euler_phi, isqrt_array
-from .scan import progression_sums, sample_points
-from .singular import (CONSTANT_TRUNCATION, DEFAULT_TRUNCATION,
-                       cached_singular_values, main_term_constant)
+from .scan import ScanConfig, sample_points, scan_all_k
+from .singular import CONSTANT_TRUNCATION, DEFAULT_TRUNCATION, main_term_constant
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy 2.x / 1.x
 
@@ -74,15 +73,13 @@ class DispersionSample:
 
 def identity_check(params: DispersionParams, t: int,
                    P: int = DEFAULT_TRUNCATION, threads: int = 1) -> DispersionSample:
-    """Evaluate U, V, W and both sides of the expansion identity at one t."""
-    lam, counts, _ = progression_sums(t, params.delta, params.K, threads=threads)
-    counts = counts.astype(np.float64)
-    sing = cached_singular_values(params.K, P)
+    """Evaluate U, V, W and both sides of the expansion identity at one t >= 3."""
+    scan = scan_all_k(ScanConfig(z=t, K=params.K, delta=params.delta), P, threads)
+    lam, counts, sing = scan.lambda_sum, scan.count, scan.singular
     U = float((lam * lam).sum())
     V = float((sing * counts * lam).sum())
     W = float((sing * sing * counts * counts).sum())
-    resid = lam - sing * counts
-    direct = float((resid * resid).sum())
+    direct = float((scan.residual * scan.residual).sum())
     main = params.delta**2 * params.K / (4.0 * t) * main_term_constant(CONSTANT_TRUNCATION)
     return DispersionSample(t=t, U=U, V=V, W=W, combined=U - 2 * V + W,
                             direct_square=direct, main_term=main)
@@ -150,7 +147,7 @@ def dispersion_profile(params: DispersionParams, t_grid: list[int] | None = None
     ts = np.asarray([s.t for s in samples], dtype=np.float64)
     summary: dict = {
         "z": params.z, "K": params.K, "delta": params.delta,
-        "B": params.B, "C": params.C, "E": params.E,
+        "B": params.B, "E": params.E,
         "points": len(samples), "seed": seed,
     }
     for name in ("U", "V", "W", "combined"):

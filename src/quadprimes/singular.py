@@ -1,9 +1,10 @@
 """Singular series for the quadratic progressions n^2 + k.
 
 S(k) is the Euler product over odd primes of (1 - (-k/p)/(p-1)); factors
-with p | k equal 1.  The product converges only conditionally, so truncation
-control is empirical: double the prime cutoff until successive values settle.
-Products are accumulated in log-space to avoid drift for large cutoffs.
+with p | k equal 1.  The product converges only conditionally.
+batch_singular_values truncates it at a prime cutoff P for every k <= K in
+one pass, accumulating the factors in log-space to avoid drift for large
+cutoffs; cached_singular_values serves repeated requests from a prefix cache.
 
 Also computes the main-term constant prod_{p>2} (1 + 1/(p(p-1))).
 """
@@ -12,106 +13,19 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import kronecker, shared_prime_table
+from .arith import shared_prime_table
 
 DEFAULT_TRUNCATION = 10**5      # moment computations default to this cutoff
 CONSTANT_TRUNCATION = 10**6     # main-term constant default cutoff
-STABILIZATION_CAP = 10**8       # adaptive doubling gives up past this
-
-
-@dataclass(frozen=True)
-class SingularValue:
-    """A truncated evaluation of S(k).
-
-    tail_estimate is the last observed doubling delta (0.0 when the value
-    was computed by a single fixed truncation); stabilized is False only
-    when adaptive doubling hit its cap without settling.
-    """
-    k: int
-    truncation_p: int
-    value: float
-    tail_estimate: float
-    stabilized: bool = True
 
 
 def _odd_primes_up_to(limit: int) -> np.ndarray:
     primes = shared_prime_table(limit).primes
     cut = int(np.searchsorted(primes, limit, side="right"))
     return primes[1:cut]  # drop p = 2
-
-
-def _symbol_mod_table(k: int) -> np.ndarray:
-    """(-k/p) for odd p depends only on p mod 4k; table over that period."""
-    period = 4 * k
-    return np.array([kronecker(-k, r) for r in range(period)], dtype=np.float64)
-
-
-def _factor_log_sum(k: int, primes: np.ndarray) -> float:
-    """Sum of log(1 - (-k/p)/(p-1)) over the given odd primes."""
-    if primes.size == 0:
-        return 0.0
-    pf = primes.astype(np.float64)
-    if 4 * k <= 64 * primes.size:
-        table = _symbol_mod_table(k)
-        sym = table[primes % (4 * k)]
-    else:
-        sym = np.array([kronecker(-k, int(p)) for p in primes], dtype=np.float64)
-    return float(np.log1p(-sym / (pf - 1.0)).sum())
-
-
-def truncated_singular_series(k: int, P: int) -> SingularValue:
-    """Exact product of factors 1 - (-k/p)/(p-1) over odd primes p <= P."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    if P < 3:
-        raise ValueError("P must be >= 3")
-    logsum = _factor_log_sum(k, _odd_primes_up_to(P))
-    return SingularValue(k=k, truncation_p=P, value=math.exp(logsum),
-                         tail_estimate=0.0)
-
-
-def _tail_scale(P: int) -> float:
-    """Statistical size of the remaining tail of the log-product past P.
-
-    The tail is a +-1/(p-1) random walk over primes, so its scale is
-    sqrt(sum_{p>P} p^-2) ~ sqrt(1/(P log P)).  A single doubling delta can
-    dip far below this by cancellation, so stopping needs both signals.
-    """
-    return math.sqrt(1.0 / (P * math.log(P)))
-
-
-def singular_series(k: int, stabilization_tol: float,
-                    p_start: int = 10**3, p_cap: int = STABILIZATION_CAP) -> SingularValue:
-    """Adaptive evaluation: double P until the product stabilizes.
-
-    Stops once a doubling changes the value by < tol and the analytic tail
-    scale has dropped below tol/2; reports non-stabilization
-    (stabilized=False) if the cap is reached first.
-    """
-    if stabilization_tol <= 0:
-        raise ValueError("tolerance must be positive")
-    P = max(3, p_start)
-    logsum = _factor_log_sum(k, _odd_primes_up_to(P))
-    value = math.exp(logsum)
-    delta = math.inf
-    while P < p_cap:
-        nxt = min(2 * P, p_cap)
-        primes = shared_prime_table(nxt).primes
-        lo = int(np.searchsorted(primes, P, side="right"))
-        hi = int(np.searchsorted(primes, nxt, side="right"))
-        logsum += _factor_log_sum(k, primes[lo:hi])
-        new_value = math.exp(logsum)
-        delta = abs(new_value - value)
-        value, P = new_value, nxt
-        if delta < stabilization_tol and _tail_scale(P) <= stabilization_tol / 2:
-            return SingularValue(k=k, truncation_p=P, value=value,
-                                 tail_estimate=max(delta, _tail_scale(P)))
-    return SingularValue(k=k, truncation_p=P, value=value,
-                         tail_estimate=max(delta, _tail_scale(P)), stabilized=False)
 
 
 # (-k/p) takes these values; one log1p call gives a prime's three factor logs.
@@ -269,7 +183,7 @@ def batch_singular_values(K: int, P: int) -> np.ndarray:
       tables leave no room for a block, these primes take the pattern
       path instead, at O(p) each.
     Both paths add the same floats in the same order, so the values do not
-    depend on the path.  They equal truncated_singular_series to rounding.
+    depend on the path.
     """
     return _singular_values(K, (P,))[0]
 

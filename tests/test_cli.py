@@ -1,7 +1,6 @@
 """Tests for the command-line runner: parsing, outputs, exit codes."""
 
 import json
-import re
 
 import numpy as np
 import pytest
@@ -45,9 +44,14 @@ def test_parse_unknown_command_and_key():
         parse_config(["frobnicate"])
     with pytest.raises(CliError, match="unknown key: zz"):
         parse_config(["moment1", "--zz=5"])
-    for key in ("tol", "x", "lo", "hi", "action", "cache_dir"):  # removed keys
+    for key in ("tol", "x", "lo", "hi", "action", "cache_dir", "C"):  # removed keys
         with pytest.raises(CliError, match=f"unknown key: {key}$"):
             parse_config(["moment1", "--z=1000", "--K=10", f"--{key}=1"])
+    for command, key, args in (("moment1", "delta", ["--z=1000", "--K=10"]),  # not read
+                               ("lemmas", "threads", []),
+                               ("scan", "B", ["--z=100", "--K=5"])):
+        with pytest.raises(CliError, match=f"^{command} does not take --{key}$"):
+            parse_config([command, *args, f"--{key}=2"])
     with pytest.raises(CliError, match="unknown command: cache"):
         parse_config(["cache", "--action=stat"])
     with pytest.raises(CliError, match="missing command"):
@@ -178,9 +182,7 @@ def test_singular_and_constant_commands(tmp_path):
 @pytest.mark.parametrize("K, P", [(300, 1000), (40, 5), (5, 3)])
 def test_singular_tail_column_is_the_change_since_half_P(tmp_path, K, P):
     assert main(["singular", f"--K={K}", f"--P={P}", f"--out={tmp_path}"]) == 0
-    # the command writes numpy scalar reprs, np.float64(...), into the CSV
-    text = re.sub(r"np\.float64\(([^)]*)\)", r"\1",
-                  (tmp_path / "results.csv").read_text())
+    text = (tmp_path / "results.csv").read_text()
     rows = [r.split(",") for r in text.splitlines()[1:]]
     values = np.array([float(r[2]) for r in rows])
     tails = np.array([float(r[3]) for r in rows])
@@ -193,6 +195,7 @@ def test_singular_tail_column_is_the_change_since_half_P(tmp_path, K, P):
 def test_error_exit_code_from_main(tmp_path):
     assert main(["moment2", "--z=100", "--K=2"]) == 1  # missing delta
     assert main(["nonsense"]) == 1
+    assert main(["moment1", "--z=100", "--K=2", "--delta=5"]) == 1  # key not read
 
 
 def test_library_range_error_moment1_z_too_small(tmp_path, capsys):

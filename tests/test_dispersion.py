@@ -65,6 +65,13 @@ def test_terms_vanish_for_empty_window():
     assert s.U == s.V == s.W == s.combined == s.direct_square == 0.0
 
 
+def test_identity_check_refuses_t_below_3():
+    p = DispersionParams(z=100, K=5, delta=50)
+    for t in (0, 2):
+        with pytest.raises(ValueError, match="z must be >= 3"):
+            identity_check(p, t)
+
+
 def test_u_term_single_contribution():
     p = DispersionParams(z=100, K=1, delta=50)
     assert identity_check(p, 100).U == pytest.approx(math.log(101) ** 2, rel=1e-12)

@@ -7,8 +7,7 @@ import pytest
 
 from quadprimes.singular import (_odd_primes_up_to, _reciprocity_block,
                                  batch_singular_values, lower_bound_diagnostic,
-                                 main_term_constant, singular_series,
-                                 truncated_singular_series)
+                                 main_term_constant)
 
 
 def zeta3_series(N: int = 20000) -> float:
@@ -18,55 +17,31 @@ def zeta3_series(N: int = 20000) -> float:
 
 
 def test_truncated_hand_products():
-    assert truncated_singular_series(1, 5).value == pytest.approx(1.125, abs=1e-12)
-    assert truncated_singular_series(3, 3).value == pytest.approx(1.0, abs=1e-15)
+    assert batch_singular_values(1, 5)[0] == pytest.approx(1.125, abs=1e-12)
+    assert batch_singular_values(3, 3)[2] == pytest.approx(1.0, abs=1e-15)
     # (k=1, P=3): factor 1 - (-1/3)/2 = 3/2
-    assert truncated_singular_series(1, 3).value == pytest.approx(1.5, abs=1e-12)
+    assert batch_singular_values(1, 3)[0] == pytest.approx(1.5, abs=1e-12)
 
 
 def test_truncated_validates_input():
     with pytest.raises(ValueError):
-        truncated_singular_series(0, 100)
+        batch_singular_values(0, 100)
     with pytest.raises(ValueError):
-        truncated_singular_series(1, 2)
+        batch_singular_values(1, 2)
 
 
 def test_classical_constant_for_k_equals_one():
-    # stabilized value of S(1): the classical n^2+1 constant, recomputed
-    value = truncated_singular_series(1, 10**7).value
+    # S(1) truncated at 1e7: the classical n^2+1 constant, recomputed
+    value = batch_singular_values(1, 10**7)[0]
     assert value == pytest.approx(1.3728134628, abs=1e-3)
-
-
-def test_adaptive_stabilization():
-    ref = truncated_singular_series(1, 10**7).value
-    sv = singular_series(1, 1e-3)
-    assert sv.stabilized
-    assert sv.tail_estimate < 1e-3
-    assert sv.value == pytest.approx(ref, abs=1e-3)
-    sv2 = singular_series(2, 1e-3)
-    assert sv2.stabilized and sv2.value > 0
-
-
-def test_adaptive_reports_non_stabilization():
-    sv = singular_series(1, 1e-15, p_start=10**3, p_cap=10**4)
-    assert not sv.stabilized
-    assert sv.truncation_p == 10**4
-
-
-def test_s4_equals_s1():
-    # (-4/p) = (-1/p) for odd p, so the factor sequences are identical
-    a = truncated_singular_series(1, 10**4)
-    b = truncated_singular_series(4, 10**4)
-    assert a.value == b.value
 
 
 def test_batch_hand_cases():
     vals = batch_singular_values(1, 3)
     assert vals[0] == pytest.approx(1.5, abs=1e-12)
+    # (1 - (-k/3)/2)(1 - (-k/5)/4) for k = 1, 2, 3
     vals = batch_singular_values(3, 5)
-    for k in range(1, 4):
-        assert vals[k - 1] == pytest.approx(
-            truncated_singular_series(k, 5).value, rel=1e-12)
+    assert vals.tolist() == pytest.approx([1.125, 0.625, 1.25], abs=1e-12)
 
 
 def per_prime_table_batch(K: int, P: int) -> np.ndarray:
@@ -109,13 +84,6 @@ def test_batch_bit_identical_to_per_prime_tables(K, P, reciprocity):
     assert np.array_equal(new.view(np.int64), old.view(np.int64))
 
 
-def test_batch_matches_single_evaluations():
-    vals = batch_singular_values(1000, 10**4)
-    for k in (1, 2, 3, 17, 100, 512, 999, 1000):
-        single = truncated_singular_series(k, 10**4).value
-        assert vals[k - 1] == pytest.approx(single, rel=1e-12)
-
-
 def test_scale_invariance_s_of_4k():
     vals = batch_singular_values(4000, 10**4)
     for k in range(1, 1001):
@@ -155,7 +123,7 @@ def test_main_term_constant_monotone_in_P():
 
 
 def test_lower_bound_diagnostic():
-    s1 = truncated_singular_series(1, 10**4).value
+    s1 = batch_singular_values(1, 10**4)[0]
     assert lower_bound_diagnostic(1, 10**4) == pytest.approx(
         s1 * math.log(3.0), rel=1e-12)
     m10 = lower_bound_diagnostic(10, 10**4)
