@@ -13,8 +13,8 @@ from .lemmas import (LemmaReport, large_sieve_avg_check, large_sieve_single_chec
 from .scan import (MomentReport, ScanColumns, ScanConfig, exceptional_set,
                    full_window_moment, scan_all_k, theorem1_moment, theorem2_moment,
                    window_count, window_lambda_sum)
-from .singular import (batch_singular_values, lower_bound_diagnostic,
-                       main_term_constant)
+from .singular import (batch_singular_values, class_numbers, main_term_constant,
+                       singular_error_bound)
 
 __version__ = "0.1.0"
 
@@ -23,7 +23,8 @@ __all__ = [
     "kronecker", "mobius", "primes_up_to", "sieve_window", "von_mangoldt",
     "Character", "CharacterTable", "build_character_group", "evaluate",
     "primitive_characters",
-    "batch_singular_values", "lower_bound_diagnostic", "main_term_constant",
+    "batch_singular_values", "class_numbers", "main_term_constant",
+    "singular_error_bound",
     "MomentReport", "ScanColumns", "ScanConfig", "exceptional_set",
     "full_window_moment", "scan_all_k", "theorem1_moment", "theorem2_moment",
     "window_count", "window_lambda_sum",

@@ -21,13 +21,12 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from .dispersion import DispersionParams, dispersion_profile
 from .lemmas import default_grid
 from .scan import (MomentReport, ScanColumns, ScanConfig, full_window_moment,
                    scan_all_k, theorem2_moment)
-from .singular import _singular_values, main_term_constant
+from .singular import (DEFAULT_TRUNCATION, batch_singular_values, main_term_constant,
+                       singular_error_bound)
 
 COMMANDS = ("scan", "moment1", "moment2", "dispersion", "lemmas",
             "singular", "constant")
@@ -44,14 +43,16 @@ _REQUIRED = object()     # marks a key that has no default
 # command -> {key: default} for every key the command reads, besides the
 # --out and --config that every command takes; any other key is refused.
 _KEYS = {
-    "scan": {"z": _REQUIRED, "K": _REQUIRED, "delta": None, "P": 10**5, "threads": 1},
-    "moment1": {"z": _REQUIRED, "K": _REQUIRED, "B": 1.0, "P": 10**5, "threads": 1},
+    "scan": {"z": _REQUIRED, "K": _REQUIRED, "delta": None, "P": DEFAULT_TRUNCATION,
+             "threads": 1},
+    "moment1": {"z": _REQUIRED, "K": _REQUIRED, "B": 1.0, "P": DEFAULT_TRUNCATION,
+                "threads": 1},
     "moment2": {"z": _REQUIRED, "K": _REQUIRED, "delta": _REQUIRED, "B": 1.0,
-                "P": 10**5, "t_samples": 16, "seed": None, "threads": 1},
+                "P": DEFAULT_TRUNCATION, "t_samples": 16, "seed": None, "threads": 1},
     "dispersion": {"z": _REQUIRED, "K": _REQUIRED, "delta": _REQUIRED, "B": 1.0,
-                   "P": 10**5, "grid": 64, "seed": None, "threads": 1},
+                   "P": DEFAULT_TRUNCATION, "grid": 64, "seed": None, "threads": 1},
     "lemmas": {"seed": 0},
-    "singular": {"K": _REQUIRED, "P": 10**5},
+    "singular": {"K": _REQUIRED, "P": DEFAULT_TRUNCATION},
     "constant": {"P": 10**6},
 }
 
@@ -134,7 +135,9 @@ def parse_config(args: list[str], file: str | Path | None = None) -> RunConfig:
             raise CliError(f"missing required key: {key}")
 
     out = merged.pop("out", None) or f"runs/{command}"
-    threads = merged.pop("threads", None) or 1
+    threads = merged.pop("threads", 1)
+    if threads < 1:
+        raise CliError(f"threads must be >= 1, got {threads}")
     return RunConfig(command=command, parameters=merged,
                      output_dir=Path(out), threads=threads)
 
@@ -162,6 +165,9 @@ def _write_outputs(config: RunConfig, header: str, rows: list[str],
         "content_hash": _content_hash(csv_text.encode()),
         "timings": {"wall_seconds": time.perf_counter() - started},
     }
+    if config.command not in ("lemmas", "constant"):    # the others compute S(k)
+        summary["health"] = {
+            "singular_error_bound": singular_error_bound(config.parameters["P"])}
     summary.update(extra)
     (config.output_dir / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n")
@@ -261,12 +267,10 @@ def _run_lemmas(config: RunConfig, started: float) -> int:
 def _run_singular(config: RunConfig, started: float) -> int:
     p = config.parameters
     K, P = p["K"], p["P"]
-    # the tail column is the change since P/2, read from the same pass
-    half, values = _singular_values(K, (max(3, P // 2), P))
-    tails = np.abs(values - half)
-    rows = [f"{k},{P},{value!r},{tail!r}"
-            for k, (value, tail) in enumerate(zip(values.tolist(), tails.tolist()), 1)]
-    _write_outputs(config, "k,P,value,tail_estimate", rows, {}, started)
+    values = batch_singular_values(K, P)
+    bound = singular_error_bound(P)     # the same for every k
+    rows = [f"{k},{P},{value!r},{bound!r}" for k, value in enumerate(values.tolist(), 1)]
+    _write_outputs(config, "k,P,value,error_bound", rows, {}, started)
     return 0
 
 

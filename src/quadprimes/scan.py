@@ -267,39 +267,6 @@ def theorem2_moment(config: ScanConfig, P: int = DEFAULT_TRUNCATION,
                         exceptional_count=exc, runtime_stats=agg)
 
 
-def theorem2_exact_integral(config: ScanConfig, P: int = DEFAULT_TRUNCATION,
-                            z_cap: int = 10**6) -> float:
-    """Exact int_z^{2z} sum_k |A_k - S(k) c_k|^2 dt (validation mode).
-
-    The integrand is a step function constant on [j, j+1) for integer j, so
-    the integral is the plain sum of the inner sums at j = z .. 2z-1.  Only
-    offered at small z; the sampled estimator covers desk scale.
-    """
-    if config.delta is None:
-        raise ValueError("exact integration requires delta")
-    z, K, delta = config.z, config.K, config.delta
-    if z > z_cap:
-        raise ValueError(f"exact integration is capped at z <= {z_cap}")
-    table = shared_prime_table(max(2, math.isqrt(2 * z + delta) + 1))
-    lam_all = sieve_window(z + 1, 2 * z + delta + 1, table).lam
-    sing = cached_singular_values(K, P)
-    lam, counts, _ = progression_sums(z, delta, K, table=table)
-    counts = counts.astype(np.float64)
-    total = 0.0
-    for t in range(z, 2 * z):
-        resid = lam - sing * counts
-        total += float((resid * resid).sum())
-        # slide the window from (t, t+delta] to (t+1, t+1+delta]
-        for m, sign in ((t + 1, -1.0), (t + 1 + delta, 1.0)):
-            n_hi = math.isqrt(m - 1)
-            n_lo = math.isqrt(max(m - K - 1, 0)) + 1
-            for n in range(n_lo, n_hi + 1):
-                k = m - n * n
-                lam[k - 1] += sign * lam_all[m - z - 1]
-                counts[k - 1] += sign
-    return total
-
-
 def exceptional_set(residual: np.ndarray, z: int, B: float) -> int:
     """Count of k whose residual exceeds sqrt(z) / (log z)^B in magnitude."""
     threshold = math.sqrt(z) / math.log(z) ** B

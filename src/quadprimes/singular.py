@@ -1,10 +1,21 @@
 """Singular series for the quadratic progressions n^2 + k.
 
-S(k) is the Euler product over odd primes of (1 - (-k/p)/(p-1)); factors
-with p | k equal 1.  The product converges only conditionally.
-batch_singular_values truncates it at a prime cutoff P for every k <= K in
-one pass, accumulating the factors in log-space to avoid drift for large
-cutoffs; cached_singular_values serves repeated requests from a prefix cache.
+S(k) is the Euler product over odd primes of (1 - chi(p)/(p-1)), where
+chi = (D/.) is the Kronecker symbol of D = -4k; on odd p it equals (-k/p).
+That product converges only conditionally.  Dividing each factor by
+(1 - chi(p)/p) leaves factors f_p = 1 - 1/(p-1)^2, 1 or 1 + 1/(p^2-1), whose
+product converges absolutely, and what was divided out is 1/L(1, chi).  The
+class-number formula L(1, chi) = 2 pi h(D) / (w sqrt|D|) holds for every
+negative discriminant, fundamental or not (Shanks, Math. Comp. 14 (1960);
+Cohen, GTM 138, 5.3-5.4), with w = 4 at D = -4 and w = 2 for the other D = -4k.
+So
+
+    S(k) = w sqrt(4k) / (2 pi h(-4k)) * prod_{p > 2} f_p(k).
+
+batch_singular_values evaluates this for every k <= K with h(-4k) counted
+exactly (class_numbers) and the product cut at P; singular_error_bound proves
+how far the result can be from S(k).  cached_singular_values serves repeated
+requests from a prefix cache.
 
 Also computes the main-term constant prod_{p>2} (1 + 1/(p(p-1))).
 """
@@ -16,10 +27,12 @@ import threading
 
 import numpy as np
 
-from .arith import shared_prime_table
+from .arith import factorize, shared_prime_table
 
-DEFAULT_TRUNCATION = 10**5      # moment computations default to this cutoff
+DEFAULT_TRUNCATION = 10**4      # correction-product cutoff P
 CONSTANT_TRUNCATION = 10**6     # main-term constant default cutoff
+
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 def _odd_primes_up_to(limit: int) -> np.ndarray:
@@ -28,20 +41,14 @@ def _odd_primes_up_to(limit: int) -> np.ndarray:
     return primes[1:cut]  # drop p = 2
 
 
-# (-k/p) takes these values; one log1p call gives a prime's three factor logs.
+# chi(p) takes these values; one pair of log1p calls gives a prime's three
+# factor logs.
 _SYMBOLS = np.array([-1.0, 0.0, 1.0])
-
-# Residue tables plus one block of primes may take this many bytes per unit
-# of the cutoff P, so memory grows with P as the pattern path's does.
-_BLOCK_BYTES_PER_P = 32
-# With fewer primes per block, the per-block numpy calls can cost more than
-# the pattern path they replace (K = 1500, P = 1e4: 10 primes per block).
-_MIN_BLOCK = 16
 
 
 def _factor_logs(p: int) -> np.ndarray:
-    """log(1 - s/(p-1)) for s = (-k/p) = -1, 0, 1."""
-    return np.log1p(-_SYMBOLS / (p - 1.0))
+    """log f_p = log(1 - s/(p-1)) - log(1 - s/p) for s = chi(p) = -1, 0, 1."""
+    return np.log1p(-_SYMBOLS / (p - 1.0)) - np.log1p(-_SYMBOLS / p)
 
 
 def _add_patterns(acc: np.ndarray, primes: np.ndarray) -> None:
@@ -74,118 +81,79 @@ def _add_patterns(acc: np.ndarray, primes: np.ndarray) -> None:
         acc[m * p:] += pattern[:acc.size - m * p]
 
 
-def _reciprocity_block(K: int, P: int) -> int:
-    """Primes per block on the reciprocity path; 0 when its tables do not fit."""
-    qs = _odd_primes_up_to(K)
-    fixed = int(qs.sum()) + 32 * (K + 1)        # residue tables, spf levels
-    # per prime: (k/p) for every k, level temporaries and the transposed
-    # rows; p mod q and (p/q) for every odd q <= K
-    block = (_BLOCK_BYTES_PER_P * P - fixed) // (4 * (K + 1) + 18 * qs.size)
-    return block if block >= _MIN_BLOCK else 0
+def class_numbers(K: int) -> np.ndarray:
+    """h(-4k) for k = 0..K (entry 0 unused), exact, as int64.
 
-
-class _Reciprocity:
-    """(-k/p) for k = 0..K and primes p > K, a block of primes at a time.
-
-    (2/p) comes from p mod 8, and (q/p) for an odd prime q <= K from
-    reciprocity: (q/p) = (p/q) (-1/p)^[q = 3 mod 4], with (p/q) read from
-    q's residue table.  Composite k take (k/p) = (spf(k)/p) (k/spf(k) / p),
-    one range [2^j, 2^(j+1)) at a time: every cofactor k/spf(k) < 2^j is
-    filled by then.
+    Counts the primitive reduced forms (a, 2b, c) with ac - b^2 = k:
+    |2b| <= a <= c, b >= 0 when |2b| = a or a = c, gcd(a, 2b, c) = 1; such
+    a form has 3a^2 <= 4k.  For fixed (a, b) the forms with c = a, a+1, ...
+    sit at k = a^2 - b^2 + a (c - a), a stride-a slice of h, which (a, 2b)
+    and (a, -2b) share when 0 < 2b < a.  Adding mu(d) along the stride-ad
+    slice for each squarefree d | gcd(a, 2b) keeps only the c prime to
+    gcd(a, 2b); each such d divides a, so every slice starts at c = a.
     """
-
-    def __init__(self, K: int):
-        self.K = K
-        self.qs = qs = _odd_primes_up_to(K)
-        self.q3 = qs % 4 == 3
-        self.offsets = np.cumsum(qs) - qs
-        self.tables = np.full(int(qs.sum()), -1, dtype=np.int8)  # (r/q) at offset + r
-        for q, off in zip(qs.tolist(), self.offsets.tolist()):
-            s = np.arange(1, (q + 1) // 2, dtype=np.int64)
-            self.tables[off + s * s % q] = 1
-        spf = np.zeros(K + 1, dtype=np.int64)
-        for q in _odd_primes_up_to(math.isqrt(K))[::-1].tolist():
-            spf[q * q::q] = q
-        spf[4::2] = 2
-        composites = np.flatnonzero(spf)
-        cuts = np.searchsorted(composites, 1 << np.arange(K.bit_length() + 1))
-        self.levels = [(ks, spf[ks], ks // spf[ks])
-                       for ks in np.split(composites, cuts) if ks.size]
-
-    def add_logs(self, acc: np.ndarray, ps: np.ndarray) -> None:
-        """acc[k] += log(1 - (-k/p)/(p-1)) for each p in ps, in order."""
-        for p, row in zip(ps.tolist(), self._rows(ps)):
-            acc += _factor_logs(p).take(row)
-
-    def _rows(self, ps: np.ndarray) -> np.ndarray:
-        """Row i holds (-k/ps[i]) + 1 for k = 0..K: indices into _factor_logs."""
-        minus_one = np.where(ps % 4 == 1, 1, -1).astype(np.int8)
-        chi = np.empty((self.K + 1, ps.size), dtype=np.int8)  # chi[k, i] = (k/ps[i])
-        chi[0], chi[1] = 0, 1
-        if self.K >= 2:
-            chi[2] = np.where((ps % 8 == 1) | (ps % 8 == 7), 1, -1)
-        leg = self.tables[ps % self.qs[:, None] + self.offsets[:, None]]
-        leg[self.q3] *= minus_one
-        chi[self.qs] = leg
-        for ks, f, c in self.levels:
-            chi[ks] = chi[f] * chi[c]
-        chi *= minus_one                # (-k/p) = (-1/p) (k/p)
-        chi += 1
-        return np.ascontiguousarray(chi.T)
-
-
-def _add_factor_logs(acc: np.ndarray, primes: np.ndarray, P: int) -> None:
-    """acc[k] += log(1 - (-k/p)/(p-1)) for k = 0..K, one odd prime at a time.
-
-    primes ascend and lie in [3, P].  Each acc[k] receives the same float
-    sequence in the same order on either path, so sums are bit-identical.
-    """
-    K = acc.size - 1
-    split = int(np.searchsorted(primes, K, side="right"))
-    block = _reciprocity_block(K, P) if split < primes.size else 0
-    if not block:
-        split = primes.size
-    _add_patterns(acc, primes[:split])
-    if block:
-        reciprocity = _Reciprocity(K)
-        for start in range(split, primes.size, block):
-            reciprocity.add_logs(acc, primes[start:start + block])
-
-
-def _singular_values(K: int, cutoffs: tuple[int, ...]) -> list[np.ndarray]:
-    """S(k) for k = 1..K truncated at each ascending cutoff, in one pass."""
-    if K < 1:
-        raise ValueError("K must be positive")
-    if min(cutoffs) < 3:
-        raise ValueError("P must be >= 3")
-    primes = _odd_primes_up_to(cutoffs[-1])
-    acc = np.zeros(K + 1)
-    values, done = [], 0
-    for P in cutoffs:
-        upto = int(np.searchsorted(primes, P, side="right"))
-        _add_factor_logs(acc, primes[done:upto], P)
-        values.append(np.exp(acc[1:]))
-        done = upto
-    return values
+    h = np.zeros(K + 1, dtype=np.int64)
+    for a in range(1, math.isqrt(4 * K // 3) + 1):
+        mobius_divisors = [(1, 1)]              # (d, mu(d)), squarefree d | a
+        for q, _ in factorize(a):
+            mobius_divisors += [(d * q, -mu) for d, mu in mobius_divisors]
+        for b in range(a // 2 + 1):
+            k0 = a * a - b * b                  # c = a
+            if k0 > K:
+                continue
+            g = math.gcd(a, 2 * b)
+            weight = 2 if 0 < 2 * b < a else 1
+            if weight == 2 and g == 1:
+                h[k0] -= 1                      # (a, -2b, a) is not reduced
+            for d, mu in mobius_divisors:
+                if g % d == 0:
+                    h[k0::a * d] += mu * weight
+    return h
 
 
 def batch_singular_values(K: int, P: int) -> np.ndarray:
-    """S(k) for k = 1..K truncated at P, as a float array.
+    """S(k) for k = 1..K with the correction product cut at P, as a float array.
 
-    The odd primes p <= P add their factor logs one at a time, in ascending
-    order, at O(K) cost each rather than O(p):
-    - p <= K: the factor log depends only on k mod p, so a float pattern of
-      period p is added through an (m, p) view of the accumulator.
-    - p > K: (-k/p) for k <= K comes from (-1/p), (2/p) and (q/p) for the
-      odd primes q <= K by complete multiplicativity, a block of primes at
-      a time, with (q/p) from quadratic reciprocity and q's residue table.
-      Tables and block stay within 32 bytes per unit of P; where the
-      tables leave no room for a block, these primes take the pattern
-      path instead, at O(p) each.
-    Both paths add the same floats in the same order, so the values do not
-    depend on the path.
+    The odd primes p <= P add their factor logs log f_p one at a time, in
+    ascending order, through a float pattern of period p (the log depends
+    only on k mod p) added across an (m, p) view of the accumulator: O(K)
+    work per prime p <= K and O(p) per prime p > K.
     """
-    return _singular_values(K, (P,))[0]
+    if K < 1:
+        raise ValueError("K must be positive")
+    if P < 3:
+        raise ValueError("P must be >= 3")
+    acc = np.zeros(K + 1)
+    _add_patterns(acc, _odd_primes_up_to(P))
+    k = np.arange(1, K + 1)
+    units = np.where(k == 1, 4.0, 2.0)        # w(-4k)
+    inverse_l = units * np.sqrt(4.0 * k) / (2 * math.pi * class_numbers(K)[1:])
+    return inverse_l * np.exp(acc[1:])
+
+
+def singular_error_bound(P: int) -> float:
+    """Proven bound on |value / S(k) - 1| for batch_singular_values(K, P), any k.
+
+    Tail: |log f_p| <= 1/((p-1)^2 - 1) = 1/((p-2) p), and summed over every
+    odd n > P instead of the primes this telescopes to 1/(2(n0 - 2)), with
+    n0 the least odd n > P.
+    Rounding, in units of u = 2^-53, with log1p and exp within 4 ulp (numpy's
+    vector loops need not round correctly) and sqrt correctly rounded: each
+    factor log is off by at most 37u/(p-2); the sequential sum of the n logs
+    adds at most 0.51 n u, their absolute sum being at most 1/2; exp, sqrt,
+    the float 2 pi, its product with h, the division and the last product
+    add at most 14u.
+    The sum lam of these log errors gives |value / S(k) - 1| <= e^lam - 1,
+    rounded up past the float error of this evaluation.
+    """
+    if P < 3:
+        raise ValueError("P must be >= 3")
+    primes = _odd_primes_up_to(P)
+    least_odd_above = P + 1 + P % 2
+    tail = 0.5 / (least_odd_above - 2)
+    rounding = _UNIT_ROUNDOFF * (37.0 * float((1.0 / (primes - 2.0)).sum())
+                                 + 0.51 * primes.size + 14.0)
+    return math.expm1(tail + rounding) * (1.0 + 1e-9)
 
 
 # Prefix cache: values for k <= K are independent of K, so one big batch per
@@ -219,12 +187,3 @@ def main_term_constant(P: int = CONSTANT_TRUNCATION) -> float:
             p = _odd_primes_up_to(P).astype(np.float64)
             _const_cache[P] = math.exp(float(np.log1p(1.0 / (p * (p - 1.0))).sum()))
         return _const_cache[P]
-
-
-def lower_bound_diagnostic(K: int, P: int) -> float:
-    """min over 1 <= k <= K of S(k) * log(k + 2); positive, non-increasing in K."""
-    if K < 1:
-        raise ValueError("K must be positive")
-    values = cached_singular_values(K, P)
-    ks = np.arange(1, K + 1, dtype=np.float64)
-    return float((values * np.log(ks + 2.0)).min())

@@ -23,13 +23,14 @@ from quadprimes.arith import mobius
 from quadprimes.characters import primitive_characters
 from quadprimes.scan import (ScanConfig, progression_sums, theorem2_moment,
                              window_count, window_lambda_sum)
-from quadprimes.singular import cached_singular_values, main_term_constant
+from quadprimes.singular import (DEFAULT_TRUNCATION, cached_singular_values,
+                                 main_term_constant)
 from quadprimes.arith import von_mangoldt
 
 SEED = 20260808
 
 # first-run pins (regression bands asserted alongside the hard criteria)
-PIN_EXCEPTIONAL_FRACTION = 0.0089      # criterion 7, z=1e8, K=1e5, P=1e5
+PIN_EXCEPTIONAL_FRACTION = 0.0089      # criterion 7, z=1e8, K=1e5
 PIN_MTILDE_OVER_E = 0.695              # criterion 9, t = z = 1e6
 
 
@@ -44,9 +45,9 @@ def note(criterion: int, passed: bool, detail: str):
 
 @pytest.fixture(scope="module")
 def scan_z1e8():
-    """A_k, c_k, S(k) at z=1e8, K=1e5, P=1e5 (shared by criteria 6 and 7)."""
+    """A_k, c_k, S(k) at z=1e8, K=1e5 (shared by criteria 6 and 7)."""
     lam, counts, _ = progression_sums(10**8, 10**8, 10**5)
-    sing = cached_singular_values(10**5, 10**5)
+    sing = cached_singular_values(10**5, DEFAULT_TRUNCATION)
     return lam, counts.astype(np.float64), sing
 
 
@@ -188,7 +189,7 @@ def test_criterion_06_hardy_littlewood_average(scan_z1e8):
             resid = lam - sing * counts
         else:
             lz, cz, _ = progression_sums(z, z, K)
-            resid = lz - cached_singular_values(K, 10**5) * cz
+            resid = lz - cached_singular_values(K, DEFAULT_TRUNCATION) * cz
         norms.append(float((resid * resid).sum()) / (K * z))
     assert norms[0] > norms[1] > norms[2]
     note(6, True, f"mean A_k/(S c_k) = {ratio:.5f} in [0.95, 1.05]; "
@@ -220,7 +221,7 @@ def test_criterion_08_theorem2_trend():
         delta = int(round(z**0.75))
         K = math.ceil(round(z**0.6, 6))
         report = theorem2_moment(ScanConfig(z=z, K=K, delta=delta, B=1.0),
-                                 P=10**5, t_samples=16)
+                                 P=DEFAULT_TRUNCATION, t_samples=16)
         values.append(report.lhs / (delta**2 * K))
     assert values[0] > values[1] > values[2]
     note(8, True, "integral/(Delta^2 K) decreasing: "
@@ -239,7 +240,7 @@ def test_criterion_09_main_terms():
     c0 = main_term_constant(10**6)
     ratios = []
     for t in (z, z + z // 3, 2 * z - delta):
-        s = identity_check(params, t, P=10**5)
+        s = identity_check(params, t, P=DEFAULT_TRUNCATION)
         main = delta**2 * K / (4.0 * t) * c0
         ratios.append((t, s.V / main, s.W / main))
         assert abs(s.V / main - 1.0) <= 0.20, (t, s.V / main)

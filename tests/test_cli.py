@@ -9,14 +9,15 @@ import quadprimes.cli as cli
 from quadprimes.cli import CliError, RunConfig, main, parse_config
 from quadprimes.lemmas import LemmaReport
 from quadprimes.scan import ScanConfig, theorem1_moment
-from quadprimes.singular import batch_singular_values
+from quadprimes.singular import (DEFAULT_TRUNCATION, batch_singular_values,
+                                 singular_error_bound)
 
 GOLDEN_SCAN_Z100_K5 = """k,lambda_sum,count,singular,residual
-1,9.898324245579248,5,1.3723504822225472,3.0365718344665122
-2,0.0,5,0.7127343095055307,-3.5636715475276537
-3,9.928033812954128,5,1.1203568377322555,4.326249624292851
-4,6.76272950693188,5,1.3723504822225472,-0.09902290418085613
-5,5.003946305945459,4,0.5282179307881468,2.891074582792872
+1,9.898324245579248,5,1.3728133547075894,3.0342574720413014
+2,0.0,5,0.7130630808676268,-3.565315404338134
+3,9.928033812954128,5,1.1207326318553708,4.324370653677274
+4,6.76272950693188,5,1.3728133547075894,-0.10133726660606701
+5,5.003946305945459,4,0.528245504815524,2.890964286683363
 """
 
 
@@ -30,7 +31,7 @@ def test_parse_basic_moment1():
     assert cfg.parameters["z"] == 10**6
     assert cfg.parameters["K"] == 1000
     assert cfg.parameters["B"] == 1.0
-    assert cfg.parameters["P"] == 10**5  # default
+    assert cfg.parameters["P"] == DEFAULT_TRUNCATION == 10**4  # default
     assert cfg.threads == 1
 
 
@@ -63,6 +64,9 @@ def test_parse_malformed_value_and_flag():
         parse_config(["moment1", "--z=abc", "--K=3"])
     with pytest.raises(CliError, match="malformed flag"):
         parse_config(["moment1", "-z=10"])
+    for threads in (0, -3):
+        with pytest.raises(CliError, match=f"^threads must be >= 1, got {threads}$"):
+            parse_config(["scan", "--z=100", "--K=5", f"--threads={threads}"])
 
 
 def test_config_file_and_flag_precedence(tmp_path):
@@ -154,6 +158,7 @@ def test_lemmas_default_grid_run(tmp_path):
     assert lines[0] == "lemma_id,params,observed,reference,ratio,pass,seed"
     assert len(lines) - 1 >= 8
     assert all(",true," in line for line in lines[1:])
+    assert "health" not in json.loads((tmp_path / "summary.json").read_text())
 
 
 def test_lemmas_exit_code_on_failure(tmp_path, monkeypatch):
@@ -170,32 +175,49 @@ def test_singular_and_constant_commands(tmp_path):
     code = main(["singular", "--K=8", "--P=1000", f"--out={tmp_path}/s"])
     assert code == 0
     lines = (tmp_path / "s" / "results.csv").read_text().strip().splitlines()
-    assert lines[0] == "k,P,value,tail_estimate"
+    assert lines[0] == "k,P,value,error_bound"
     assert len(lines) == 9
     assert lines[1].startswith("1,1000,")
+    summary = json.loads((tmp_path / "s" / "summary.json").read_text())
+    assert summary["health"] == {"singular_error_bound": singular_error_bound(1000)}
     code = main(["constant", "--P=1000", f"--out={tmp_path}/c"])
     assert code == 0
     summary = json.loads((tmp_path / "c" / "summary.json").read_text())
     assert summary["constant"] == pytest.approx(1.2957, abs=1e-3)
+    assert "health" not in summary
 
 
 @pytest.mark.parametrize("K, P", [(300, 1000), (40, 5), (5, 3)])
-def test_singular_tail_column_is_the_change_since_half_P(tmp_path, K, P):
+def test_singular_columns_are_the_batch_and_its_bound(tmp_path, K, P):
     assert main(["singular", f"--K={K}", f"--P={P}", f"--out={tmp_path}"]) == 0
     text = (tmp_path / "results.csv").read_text()
     rows = [r.split(",") for r in text.splitlines()[1:]]
     values = np.array([float(r[2]) for r in rows])
-    tails = np.array([float(r[3]) for r in rows])
     full = batch_singular_values(K, P)
     assert values.view(np.int64).tolist() == full.view(np.int64).tolist()
-    expect = np.abs(full - batch_singular_values(K, max(3, P // 2)))
-    assert tails.view(np.int64).tolist() == expect.view(np.int64).tolist()
+    assert {float(r[3]) for r in rows} == {singular_error_bound(P)}
+
+
+def test_health_reports_the_singular_error_bound(tmp_path):
+    runs = {"scan": ["--z=1000", "--K=20"],
+            "moment1": ["--z=1000", "--K=20", "--P=5000"],
+            "moment2": ["--z=1000", "--K=20", "--delta=300", "--t_samples=2"],
+            "dispersion": ["--z=1000", "--K=20", "--delta=300", "--grid=2"]}
+    for command, args in runs.items():
+        out = tmp_path / command
+        assert main([command, *args, f"--out={out}"]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        P = summary["parameters"]["P"]
+        assert summary["health"] == {"singular_error_bound": singular_error_bound(P)}
+        assert "error_bound" not in (out / "results.csv").read_text()
 
 
 def test_error_exit_code_from_main(tmp_path):
     assert main(["moment2", "--z=100", "--K=2"]) == 1  # missing delta
     assert main(["nonsense"]) == 1
     assert main(["moment1", "--z=100", "--K=2", "--delta=5"]) == 1  # key not read
+    for threads in (0, -3):
+        assert main(["moment1", "--z=100", "--K=2", f"--threads={threads}"]) == 1
 
 
 def test_library_range_error_moment1_z_too_small(tmp_path, capsys):

@@ -10,7 +10,7 @@ from quadprimes.arith import euler_phi, von_mangoldt
 from quadprimes.dispersion import (DispersionParams, dispersion_profile,
                                    identity_check, m_tilde)
 from quadprimes.scan import window_count, window_lambda_sum
-from quadprimes.singular import cached_singular_values
+from quadprimes.singular import DEFAULT_TRUNCATION, cached_singular_values
 
 
 def u_double_loop(t, delta, K):
@@ -90,24 +90,25 @@ def test_u_term_factored_equals_double_loop():
 
 def test_v_term_pinned_components():
     p = DispersionParams(z=100, K=1, delta=50)
-    s1 = float(cached_singular_values(1, 10**5)[0])
-    assert identity_check(p, 100, P=10**5).V == pytest.approx(
+    s1 = float(cached_singular_values(1, DEFAULT_TRUNCATION)[0])
+    assert identity_check(p, 100, P=DEFAULT_TRUNCATION).V == pytest.approx(
         s1 * 3 * math.log(101), rel=1e-12)
 
 
 def test_w_term_pinned_components():
     p = DispersionParams(z=100, K=2, delta=50)
-    sing = cached_singular_values(2, 10**5)
+    sing = cached_singular_values(2, DEFAULT_TRUNCATION)
     expect = sing[0] ** 2 * 9 + sing[1] ** 2 * 9  # counts are 3 and 3
     assert window_count(1, 100, 50) == window_count(2, 100, 50) == 3
-    assert identity_check(p, 100, P=10**5).W == pytest.approx(float(expect), rel=1e-12)
+    assert identity_check(p, 100, P=DEFAULT_TRUNCATION).W == pytest.approx(
+        float(expect), rel=1e-12)
     assert identity_check(p, 100).W >= 0.0
 
 
 def test_identity_assembled_from_components():
     p = DispersionParams(z=100, K=2, delta=50)
-    s = identity_check(p, 100, P=10**5)
-    sing = cached_singular_values(2, 10**5)
+    s = identity_check(p, 100, P=DEFAULT_TRUNCATION)
+    sing = cached_singular_values(2, DEFAULT_TRUNCATION)
     direct = U = V = W = 0.0
     for k in (1, 2):
         a = window_lambda_sum(k, 100, 50)

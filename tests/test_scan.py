@@ -9,11 +9,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadprimes.arith import INT63_CAP, von_mangoldt
+from oracles import theorem2_exact_integral
 from quadprimes.scan import (MomentReport, ScanConfig, exceptional_set,
                              progression_sums, sample_points, scan_all_k,
-                             theorem1_moment, theorem2_exact_integral,
-                             theorem2_moment, window_count, window_lambda_sum)
-from quadprimes.singular import cached_singular_values
+                             theorem1_moment, theorem2_moment, window_count,
+                             window_lambda_sum)
+from quadprimes.singular import DEFAULT_TRUNCATION, cached_singular_values
 
 
 def count_brute(k, t, delta):
@@ -101,7 +102,7 @@ def test_scan_all_k_small_example():
     assert scan.lambda_sum[0] == pytest.approx(math.log(101) + math.log(197), rel=1e-12)
     assert scan.residual[0] == pytest.approx(
         scan.lambda_sum[0] - scan.singular[0] * scan.count[0], rel=1e-12)
-    assert np.array_equal(scan.singular, cached_singular_values(10, 10**5))
+    assert np.array_equal(scan.singular, cached_singular_values(10, DEFAULT_TRUNCATION))
     assert scan.stats["segments"] > 0 and scan.stats["cells"] > 0
 
 

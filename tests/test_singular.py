@@ -5,9 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from quadprimes.singular import (_odd_primes_up_to, _reciprocity_block,
-                                 batch_singular_values, lower_bound_diagnostic,
-                                 main_term_constant)
+from oracles import (class_number_formula_batch, correction_log_sum,
+                     lower_bound_diagnostic, per_prime_table_batch,
+                     reduced_form_class_numbers)
+from quadprimes.singular import (DEFAULT_TRUNCATION, _factor_logs,
+                                 batch_singular_values, class_numbers,
+                                 main_term_constant, singular_error_bound)
+
+S1_REFERENCE = 1.3728134628     # S(1), the n^2 + 1 constant (Shanks 1960)
 
 
 def zeta3_series(N: int = 20000) -> float:
@@ -17,10 +22,14 @@ def zeta3_series(N: int = 20000) -> float:
 
 
 def test_truncated_hand_products():
-    assert batch_singular_values(1, 5)[0] == pytest.approx(1.125, abs=1e-12)
-    assert batch_singular_values(3, 3)[2] == pytest.approx(1.0, abs=1e-15)
-    # (k=1, P=3): factor 1 - (-1/3)/2 = 3/2
-    assert batch_singular_values(1, 3)[0] == pytest.approx(1.5, abs=1e-12)
+    # k = 1: w = 4, h(-4) = 1, (-1/3) = -1 gives f_3 = (3/2)/(4/3) = 9/8,
+    # (-1/5) = +1 gives f_5 = (3/4)/(4/5) = 15/16
+    assert batch_singular_values(1, 3)[0] == pytest.approx(9 / (2 * math.pi), rel=1e-14)
+    assert batch_singular_values(1, 5)[0] == pytest.approx(
+        135 / (32 * math.pi), rel=1e-14)
+    # k = 3: h(-12) = 1 and 3 | k, so f_3 = 1: S = 2 sqrt(12) / (2 pi)
+    assert batch_singular_values(3, 3)[2] == pytest.approx(
+        math.sqrt(12) / math.pi, rel=1e-14)
 
 
 def test_truncated_validates_input():
@@ -28,60 +37,65 @@ def test_truncated_validates_input():
         batch_singular_values(0, 100)
     with pytest.raises(ValueError):
         batch_singular_values(1, 2)
+    with pytest.raises(ValueError):
+        singular_error_bound(2)
 
 
 def test_classical_constant_for_k_equals_one():
-    # S(1) truncated at 1e7: the classical n^2+1 constant, recomputed
-    value = batch_singular_values(1, 10**7)[0]
-    assert value == pytest.approx(1.3728134628, abs=1e-3)
+    value = batch_singular_values(1, DEFAULT_TRUNCATION)[0]
+    assert value == pytest.approx(S1_REFERENCE, abs=1e-6)
 
 
 def test_batch_hand_cases():
-    vals = batch_singular_values(1, 3)
-    assert vals[0] == pytest.approx(1.5, abs=1e-12)
-    # (1 - (-k/3)/2)(1 - (-k/5)/4) for k = 1, 2, 3
+    h = class_numbers(41)
+    assert h[5] == 2 and h[41] == 8             # h(-20) = 2, h(-164) = 8
+    assert h[1:5].tolist() == [1, 1, 1, 1]      # h(-4), h(-8), h(-12), h(-16)
+    # k = 2: h(-8) = 1, (-2/3) = +1 and (-2/5) = -1:
+    # 2 sqrt(8) / (2 pi) * (1/2)/(2/3) * (5/4)/(6/5)
     vals = batch_singular_values(3, 5)
-    assert vals.tolist() == pytest.approx([1.125, 0.625, 1.25], abs=1e-12)
+    assert vals[1] == pytest.approx(math.sqrt(8) / math.pi * 0.75 * 25 / 24, rel=1e-14)
 
 
-def per_prime_table_batch(K: int, P: int) -> np.ndarray:
-    """Oracle: one float Legendre table of length p per odd prime p <= P,
-    its factor-log pattern tiled across k = 1..K (O(p) work per prime)."""
-    logacc = np.zeros(K, dtype=np.float64)
-    for p in _odd_primes_up_to(P):
-        p = int(p)
-        leg = np.full(p, -1.0)
-        leg[0] = 0.0
-        sq = (np.arange(1, (p - 1) // 2 + 1, dtype=np.int64) ** 2) % p
-        leg[sq] = 1.0
-        flog = np.log1p(-leg / (p - 1.0))       # indexed by (-k) mod p
-        # pattern over k = 1, 2, ...: (-k) mod p walks p-1, p-2, ..., 1, 0
-        pattern = np.concatenate((flog[:0:-1], flog[:1]))
-        logacc += np.resize(pattern, K)
-    return np.exp(logacc)
+def test_class_numbers_match_reduced_form_count():
+    assert class_numbers(2000).tolist()[1:] == reduced_form_class_numbers(2000)[1:]
 
 
-@pytest.mark.parametrize("K, P, reciprocity", [
-    (1, 3, False),           # smallest batch
-    (1, 1000, True),
-    (2, 100, True),
-    (3, 3, False),           # K = p
-    (7, 100, True),          # p = 3, 5, 7 <= K by pattern, p > K by reciprocity
-    (11, 11, False),
-    (100, 7, False),         # K > P
-    (100, 50, False),
-    (97, 1000, True),        # p | k for every p <= K
-    (257, 5000, True),
-    (1000, 10**4, True),
-    (2000, 10**4, False),    # tables too big for P: primes > K fall back
-    (3982, 20000, False),
-    (3982, 10**5, True),     # the dispersion benchmark's batch
+@pytest.mark.parametrize("K, P", [
+    (1, 3), (1, 1000), (2, 100), (3, 3), (7, 100), (11, 11), (100, 7),
+    (100, 50), (97, 1000), (257, 5000), (1000, 10**4), (2000, 10**4),
+    (3982, 20000),
 ])
-def test_batch_bit_identical_to_per_prime_tables(K, P, reciprocity):
-    assert (_reciprocity_block(K, P) > 0) == reciprocity
+def test_batch_bit_identical_to_per_prime_tables(K, P):
     new = batch_singular_values(K, P)
-    old = per_prime_table_batch(K, P)
-    assert np.array_equal(new.view(np.int64), old.view(np.int64))
+    oracle = class_number_formula_batch(K, P)
+    assert np.array_equal(new.view(np.int64), oracle.view(np.int64))
+
+
+def test_truncated_product_oracle_agrees_at_1e5():
+    # the plain product converges only conditionally; 3e-3 is its observed
+    # truncation scale at P = 1e5
+    K, P = 1000, 10**5
+    ratio = batch_singular_values(K, P) / per_prime_table_batch(K, P)
+    assert np.abs(ratio - 1.0).max() <= 3e-3
+
+
+def test_error_bound_covers_the_tail_to_1e6():
+    bound = singular_error_bound(DEFAULT_TRUNCATION)
+    values = batch_singular_values(10**5, DEFAULT_TRUNCATION)
+    rng = np.random.default_rng(20261018)
+    for k in rng.choice(np.arange(1, 10**5 + 1), size=50, replace=False).tolist():
+        # S_{1e4}(k) / S_{1e6}(k) = exp(-sum of log f_p over 1e4 < p <= 1e6)
+        tail = correction_log_sum(k, DEFAULT_TRUNCATION, 10**6)
+        far = values[k - 1] * math.exp(tail)
+        assert abs(values[k - 1] / far - 1.0) <= bound, k
+
+
+def test_error_bound_size():
+    bound = singular_error_bound(DEFAULT_TRUNCATION)
+    assert 5e-5 < bound <= 1e-4        # the tail alone is 1/(2 * 9999)
+    assert singular_error_bound(10**3) > bound > singular_error_bound(10**5)
+    s1 = batch_singular_values(1, DEFAULT_TRUNCATION)[0]
+    assert abs(s1 / S1_REFERENCE - 1.0) <= bound
 
 
 def test_scale_invariance_s_of_4k():
@@ -103,6 +117,9 @@ def test_factor_range():
         for p in (3, 5, 7, 11, 13, 97, 499):
             factor = 1.0 - kronecker(-k, p) / (p - 1)
             assert (p - 2) / (p - 1) <= factor <= p / (p - 1)
+    # the correction factors behind singular_error_bound: |log f_p| <= 1/((p-2) p)
+    for p in (3, 5, 7, 11, 13, 97, 499, 10007):
+        assert np.abs(_factor_logs(p)).max() <= 1.0 / ((p - 2) * p)
 
 
 def test_main_term_constant_hand_values():
