@@ -9,7 +9,8 @@ from oracles import (class_number_formula_batch, correction_log_sum,
                      lower_bound_diagnostic, per_prime_table_batch,
                      reduced_form_class_numbers)
 from quadprimes.singular import (DEFAULT_TRUNCATION, _factor_logs,
-                                 batch_singular_values, class_numbers,
+                                 batch_singular_values,
+                                 cached_singular_values, class_numbers,
                                  main_term_constant, singular_error_bound)
 
 S1_REFERENCE = 1.3728134628     # S(1), the n^2 + 1 constant (Shanks 1960)
@@ -60,13 +61,29 @@ def test_class_numbers_match_reduced_form_count():
     assert class_numbers(2000).tolist()[1:] == reduced_form_class_numbers(2000)[1:]
 
 
-@pytest.mark.parametrize("K, P", [
-    (1, 3), (1, 1000), (2, 100), (3, 3), (7, 100), (11, 11), (100, 7),
-    (100, 50), (97, 1000), (257, 5000), (1000, 10**4), (2000, 10**4),
-    (3982, 20000),
+@pytest.mark.parametrize("K, P, through_cache", [
+    (1, 3, False),           # smallest batch
+    (1, 1000, True),
+    (2, 100, True),
+    (3, 3, False),           # K = p
+    (7, 100, True),          # p = 3, 5, 7 <= K, the rest above K
+    (11, 11, False),
+    (100, 7, False),         # K > P
+    (100, 50, False),
+    (97, 1000, True),        # p | k for every p <= K
+    (257, 5000, True),
+    (1000, 10**4, True),
+    (2000, 10**4, False),
+    (3982, 20000, False),
+    (3982, 10**5, True),     # the dispersion benchmark's batch at the old --P
 ])
-def test_batch_bit_identical_to_per_prime_tables(K, P):
-    new = batch_singular_values(K, P)
+def test_batch_bit_identical_to_per_prime_tables(K, P, through_cache):
+    # through_cache: the values are a prefix of the cached batch for P, which
+    # holds at least 128 values, instead of a batch of exactly K
+    if through_cache:
+        new = cached_singular_values(K, P)
+    else:
+        new = batch_singular_values(K, P)
     oracle = class_number_formula_batch(K, P)
     assert np.array_equal(new.view(np.int64), oracle.view(np.int64))
 
