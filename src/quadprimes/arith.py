@@ -2,14 +2,13 @@
 
 Provides:
 - Kronecker symbol (Legendre/Jacobi extended to arbitrary non-negative modulus)
-- Mobius function, Euler totient
-- exact integer square / n-th roots
-- deterministic 64-bit primality (fixed Miller-Rabin witness set)
-- von Mangoldt function Lambda(n) via perfect-power extraction
+- trial-division factorization, Mobius function, Euler totient
+- exact elementwise integer square roots of int64 arrays
 - prime tables and segmented sieve windows carrying Lambda
 
 Everything downstream (singular series, progression scans, dispersion terms,
-lemma checks) is built on these primitives.  All functions are pure;
+lemma checks) is built on these primitives; Lambda is only ever evaluated
+through sieve windows.  All functions are pure;
 PrimeTable and SieveWindow are immutable after construction and safe to
 share across threads.
 """
@@ -25,10 +24,6 @@ import numpy as np
 # All scanned quantities (n^2 + k, window tops) must stay below 2^63 so that
 # int64 array arithmetic is exact.
 INT63_CAP = 2**63 - 1
-
-# Deterministic Miller-Rabin witnesses; this set is correct for every
-# n < 3.317e24, which covers the full 64-bit range used here.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def kronecker(a: int, n: int) -> int:
@@ -113,75 +108,6 @@ def euler_phi(n: int) -> int:
     for p, _ in factorize(n):
         phi -= phi // p
     return phi
-
-
-def integer_sqrt(n: int) -> int:
-    """Exact floor(sqrt(n)); no floating-point shortcut at the boundary."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    return math.isqrt(n)
-
-
-def integer_nth_root(n: int, e: int) -> int:
-    """Exact floor(n^(1/e)) for n >= 0, e >= 1."""
-    if n < 0 or e < 1:
-        raise ValueError("require n >= 0 and e >= 1")
-    if e == 1 or n < 2:
-        return n
-    if e == 2:
-        return math.isqrt(n)
-    r = int(round(n ** (1.0 / e)))
-    while r > 0 and r**e > n:
-        r -= 1
-    while (r + 1) ** e <= n:
-        r += 1
-    return r
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic primality for 0 <= n < 2^64."""
-    if n < 2:
-        return False
-    for p in _MR_WITNESSES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_WITNESSES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def perfect_power_base(n: int) -> tuple[int, int]:
-    """Write n >= 2 as base^exp with base not a perfect power; exp may be 1."""
-    base, exp = n, 1
-    e = 2
-    while (1 << e) <= base:
-        r = integer_nth_root(base, e)
-        if r**e == base:
-            base, exp = r, exp * e
-        else:
-            e += 1
-    return base, exp
-
-
-def von_mangoldt(n: int) -> float:
-    """Lambda(n): log p if n = p^e for a prime p, else 0."""
-    if n < 2:
-        return 0.0
-    base, _ = perfect_power_base(n)
-    return math.log(base) if is_prime(base) else 0.0
 
 
 def isqrt_array(x: np.ndarray) -> np.ndarray:

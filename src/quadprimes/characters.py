@@ -2,19 +2,25 @@
 
 The unit group (Z/qZ)^x is decomposed into cyclic factors via CRT over the
 prime-power parts of q (the 2-power part uses the {-1, 5} generating pair).
-Characters are indexed by exponent vectors on those generators, with their
-values precomputed into a dense length-q table since evaluation sits in the
-inner loop of the lemma checks.
+Characters are indexed by exponent vectors on those generators.  Their
+values, a dense length-q table per character since evaluation sits in the
+inner loop of the lemma checks, are computed for the whole group on the
+first read of any character's values.
 
-Conductors are found by induction testing: the conductor is the smallest
-divisor d of q such that the character is trivial on every unit n = 1 mod d.
+Conductors are exact integers read off the exponent vector, one prime power
+p^e of q at a time.  For odd p the local character has order m = m0 p^s with
+p not dividing m0, and conductor 1 if m = 1, p if s = 0 and p^(s+1)
+otherwise.  For p = 2 the conductor is 2^(j+2) when the part on 5 has order
+2^j > 1, else 4 or 1 by the part on -1.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cache, partial
 
 import numpy as np
 
@@ -22,30 +28,43 @@ from .arith import euler_phi, factorize
 
 MAX_MODULUS = 10**4  # dense tables are phi(q) x q complex; keep q modest
 
-_UNIT_TOL = 1e-9
+
+def _value_matrix(q: int, units: np.ndarray, expvec: np.ndarray,
+                  orders: list[int]) -> np.ndarray:
+    """values[i, x] of the character with exponent vector expvec[i] at x."""
+    if orders:
+        weights = expvec / np.asarray(orders, dtype=np.float64)
+        phases = expvec @ weights.T  # (chars x units), phase in turns
+        unit_values = np.exp(2j * np.pi * phases)
+    else:
+        unit_values = np.ones((1, 1), dtype=np.complex128)
+    values = np.zeros((len(expvec), q), dtype=np.complex128)
+    values[:, units] = unit_values
+    return values
 
 
 @dataclass(frozen=True)
 class Character:
-    """One Dirichlet character mod q as a dense value table."""
+    """One Dirichlet character mod q."""
     modulus: int
     exponent_vector: tuple[int, ...]
-    values: np.ndarray  # length q, complex; 0 off the units
     conductor: int
     is_primitive: bool
     is_principal: bool
+    _matrix: Callable[[], np.ndarray] = field(repr=False, compare=False)
+    _row: int = field(repr=False, compare=False)
+
+    @property
+    def values(self) -> np.ndarray:
+        """Length-q complex value table; 0 off the units."""
+        return self._matrix()[self._row]
 
 
 @dataclass(frozen=True)
 class CharacterTable:
     """The full group of Dirichlet characters mod q."""
     modulus: int
-    generators: list[tuple[int, int]] = field(default_factory=list)  # (residue, order)
     characters: list[Character] = field(default_factory=list)
-
-    @property
-    def order(self) -> int:
-        return len(self.characters)
 
 
 def _primitive_root(p: int, e: int) -> int:
@@ -72,49 +91,54 @@ def _crt_lift(residue: int, pe: int, q: int) -> int:
     return (residue * rest * inv_rest + pe * inv_pe) % q
 
 
-def unit_group_generators(q: int) -> list[tuple[int, int]]:
-    """Generators (residue, order) of (Z/qZ)^x, product of orders = phi(q)."""
-    gens: list[tuple[int, int]] = []
-    for p, e in factorize(q) if q > 1 else []:
-        pe = p**e
-        if p == 2:
-            if e == 1:
-                continue
-            if e == 2:
-                local = [(3, 2)]
-            else:
-                local = [(pe - 1, 2), (5, 2 ** (e - 2))]
-        else:
-            local = [(_primitive_root(p, e), pe // p * (p - 1))]
-        for g, order in local:
-            gens.append((_crt_lift(g, pe, q), order))
-    return gens
+def _local_generators(p: int, e: int) -> list[tuple[int, int]]:
+    """Generators (residue, order) of (Z/p^eZ)^x; for p = 2, -1 comes first."""
+    pe = p**e
+    if p != 2:
+        return [(_primitive_root(p, e), pe // p * (p - 1))]
+    if e == 1:
+        return []
+    if e == 2:
+        return [(3, 2)]
+    return [(pe - 1, 2), (5, 2 ** (e - 2))]
 
 
-def _divisors(q: int) -> list[int]:
-    divs = [1]
-    for p, e in factorize(q):
-        divs = [d * p**i for d in divs for i in range(e + 1)]
-    return sorted(divs)
+def _local_conductors(p: int, e: int, exps: np.ndarray) -> np.ndarray:
+    """Conductor of each character's p^e part from its exponents on that part."""
+    if p != 2:
+        order = p ** (e - 1) * (p - 1)
+        m = order // np.gcd(exps[:, 0], order)
+        return np.where(m == 1, 1, p * np.gcd(m, p ** (e - 1)))
+    if e == 1:
+        return np.ones(len(exps), dtype=np.int64)
+    conductor = np.where(exps[:, 0] != 0, 4, 1)
+    if e >= 3:
+        order5 = 2 ** (e - 2)
+        m5 = order5 // np.gcd(exps[:, 1], order5)
+        conductor = np.where(m5 > 1, 4 * m5, conductor)
+    return conductor
 
 
-def build_character_group(q: int, max_modulus: int = MAX_MODULUS) -> CharacterTable:
+def build_character_group(q: int) -> CharacterTable:
     """Construct all phi(q) characters mod q with conductor data.
 
     q = 1 yields the trivial group with the single principal character.
     """
     if q < 1:
         raise ValueError("modulus must be >= 1")
-    if q > max_modulus:
-        raise ValueError(f"modulus {q} exceeds cap {max_modulus}")
-    gens = unit_group_generators(q)
+    if q > MAX_MODULUS:
+        raise ValueError(f"modulus {q} exceeds cap {MAX_MODULUS}")
+    parts = [(p, e, _local_generators(p, e)) for p, e in factorize(q)] if q > 1 else []
+    gens = [(_crt_lift(g, p**e, q), order)
+            for p, e, local in parts for g, order in local]
     orders = [d for _, d in gens]
     phi_q = euler_phi(q)
-    n_chars = math.prod(orders) if orders else 1
-    if n_chars != phi_q:
+    if math.prod(orders) != phi_q:
         raise AssertionError(f"generator orders {orders} do not multiply to phi({q})")
 
-    # Enumerate units together with their discrete-log vectors.
+    # Enumerate units together with their discrete-log vectors; characters
+    # share the enumeration order of exponent tuples, so index 0 is the
+    # principal character.
     gen_powers = [[pow(g, a, q) for a in range(d)] for g, d in gens]
     units = np.empty(phi_q, dtype=np.int64)
     expvec = np.zeros((phi_q, len(gens)), dtype=np.int64)
@@ -125,47 +149,22 @@ def build_character_group(q: int, max_modulus: int = MAX_MODULUS) -> CharacterTa
         units[i] = x
         expvec[i] = tup
 
-    # values[i, x]: character i at unit x; characters share the enumeration
-    # order of exponent tuples, so index 0 is the principal character.
-    if gens:
-        weights = expvec / np.asarray(orders, dtype=np.float64)
-        phases = expvec @ weights.T  # (chars x units), phase in turns
-        unit_values = np.exp(2j * np.pi * phases)
-    else:
-        unit_values = np.ones((1, 1), dtype=np.complex128)
-    values = np.zeros((phi_q, q if q > 1 else 1), dtype=np.complex128)
-    values[:, units] = unit_values
+    conductor = np.ones(phi_q, dtype=np.int64)
+    first = 0
+    for p, e, local in parts:
+        conductor *= _local_conductors(p, e, expvec[:, first:first + len(local)])
+        first += len(local)
 
-    conductor = np.zeros(phi_q, dtype=np.int64)
-    unset = np.ones(phi_q, dtype=bool)
-    for d in _divisors(q):
-        if not unset.any():
-            break
-        cols = units[units % d == 1 % d]
-        ok = np.all(np.abs(values[:, cols] - 1.0) < _UNIT_TOL, axis=1)
-        newly = unset & ok
-        conductor[newly] = d
-        unset &= ~ok
-
-    chars = []
-    for i in range(phi_q):
-        cond = int(conductor[i])
-        chars.append(Character(
-            modulus=q,
-            exponent_vector=tuple(int(a) for a in expvec[i]),
-            values=values[i],
-            conductor=cond,
-            is_primitive=(cond == q),
-            is_principal=not any(expvec[i]),
-        ))
-    return CharacterTable(modulus=q, generators=gens, characters=chars)
-
-
-def evaluate(chi: Character, n: int) -> complex:
-    """chi(n), periodic in n with period q."""
-    if chi.modulus == 1:
-        return complex(chi.values[0])
-    return complex(chi.values[n % chi.modulus])
+    # one matrix for the whole group, computed on the first read of values
+    matrix = cache(partial(_value_matrix, q, units, expvec, orders))
+    chars = [Character(modulus=q,
+                       exponent_vector=tuple(expvec[i].tolist()),
+                       conductor=int(conductor[i]),
+                       is_primitive=(int(conductor[i]) == q),
+                       is_principal=not expvec[i].any(),
+                       _matrix=matrix, _row=i)
+             for i in range(phi_q)]
+    return CharacterTable(modulus=q, characters=chars)
 
 
 def primitive_characters(table: CharacterTable) -> list[Character]:

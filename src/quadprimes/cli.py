@@ -268,9 +268,8 @@ def _run_singular(config: RunConfig, started: float) -> int:
     p = config.parameters
     K, P = p["K"], p["P"]
     values = batch_singular_values(K, P)
-    bound = singular_error_bound(P)     # the same for every k
-    rows = [f"{k},{P},{value!r},{bound!r}" for k, value in enumerate(values.tolist(), 1)]
-    _write_outputs(config, "k,P,value,error_bound", rows, {}, started)
+    rows = [f"{k},{P},{value!r}" for k, value in enumerate(values.tolist(), 1)]
+    _write_outputs(config, "k,P,value", rows, {}, started)
     return 0
 
 

@@ -9,20 +9,17 @@ c_k the integer count,
 
 and U - 2V + W equals sum_k (A_k - S(k) c_k)^2 identically; identity_check
 verifies both sides.  All three terms share the main term
-(Delta^2 K / 4t) * prod_{p>2}(1 + 1/(p(p-1))), which m_tilde recomputes as
-a direct triple sum over q and window positions with exact integer interval
-endpoints.
+(Delta^2 K / 4t) * prod_{p>2}(1 + 1/(p(p-1))), reported with each sample.
+The direct triple sum m_tilde that recomputes it is a test oracle.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import euler_phi, isqrt_array
 from .scan import ScanConfig, sample_points, scan_all_k
 from .singular import CONSTANT_TRUNCATION, DEFAULT_TRUNCATION, main_term_constant
 
@@ -31,33 +28,20 @@ _trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy 2.x / 1.x
 
 @dataclass(frozen=True)
 class DispersionParams:
-    """Scale parameters; C is the log-power in the moduli cutoff L."""
+    """Scale parameters of a dispersion run over t in [z, 2z]."""
     z: int
     K: int
     delta: int
     B: float = 1.0
-    C: float = 2.0
 
     def __post_init__(self):
         if self.z < 3 or self.K < 1 or self.delta < 0:
             raise ValueError("require z >= 3, K >= 1, delta >= 0")
 
     @property
-    def L(self) -> float:
-        return math.log(self.z) ** self.C
-
-    @property
     def E(self) -> float:
         """Reference error size Delta^2 K / (z (log z)^B)."""
         return self.delta**2 * self.K / (self.z * math.log(self.z) ** self.B)
-
-    @property
-    def D1(self) -> float:
-        return self.delta / (8 * self.L * math.sqrt(self.z))
-
-    @property
-    def D2(self) -> float:
-        return self.delta / (2 * math.sqrt(self.z))
 
 
 @dataclass(frozen=True)
@@ -85,43 +69,6 @@ def identity_check(params: DispersionParams, t: int,
                             direct_square=direct, main_term=main)
 
 
-def _ceil_sqrt(x: np.ndarray) -> np.ndarray:
-    """Exact elementwise ceil(sqrt(max(x, 0))) for int64 input."""
-    x = np.maximum(x, 0)
-    r = isqrt_array(x)
-    return r + (r * r < x)
-
-
-def m_tilde(params: DispersionParams, t: int) -> float:
-    """Direct triple sum 2 sum_q phi(4q)^-1 sum_m1 #I(t, m1, q).
-
-    I(t, m, q) = (m - 4q(sqrt(m)-q), m - 4q(sqrt(m-K)-q)] intersected with
-    (t, t+Delta].  Integer counts come from exact floor/ceil of 4q sqrt(x) =
-    sqrt(16 q^2 x), so no floating-point slack is needed.
-    """
-    if t + 1 - params.K < 0:
-        raise ValueError("window contains m with m - K < 0")
-    q_lo = max(1, math.ceil(params.D1))
-    q_hi = math.floor(params.D2)
-    if q_hi < q_lo or params.delta == 0:
-        return 0.0
-    top = t + params.delta
-    if 16 * q_hi * q_hi * top >= 2**63:
-        raise OverflowError("16 q^2 m exceeds the int64 range")
-    m = np.arange(t + 1, top + 1, dtype=np.int64)
-    total = 0.0
-    for q in range(q_lo, q_hi + 1):
-        c16 = 16 * q * q
-        base = m + 4 * q * q
-        floor_lo = base - _ceil_sqrt(c16 * m)            # floor of the open end
-        floor_hi = base - _ceil_sqrt(c16 * (m - params.K))
-        lo = np.maximum(floor_lo, t)
-        hi = np.minimum(floor_hi, top)
-        count = int(np.maximum(hi - lo, 0).sum())
-        total += 2.0 * count / euler_phi(4 * q)
-    return total
-
-
 def dispersion_profile(params: DispersionParams, t_grid: list[int] | None = None,
                        P: int = DEFAULT_TRUNCATION, grid_points: int = 64,
                        seed: int | None = None, threads: int = 1):
@@ -137,12 +84,7 @@ def dispersion_profile(params: DispersionParams, t_grid: list[int] | None = None
     if not all(params.z <= t <= 2 * params.z for t in t_grid):
         raise ValueError("t grid must lie within [z, 2z]")
 
-    if threads > 1 and len(t_grid) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            samples = list(pool.map(
-                lambda t: identity_check(params, t, P, threads=1), t_grid))
-    else:
-        samples = [identity_check(params, t, P) for t in t_grid]
+    samples = [identity_check(params, t, P, threads) for t in t_grid]
 
     ts = np.asarray([s.t for s in samples], dtype=np.float64)
     summary: dict = {

@@ -277,26 +277,6 @@ def mean_square_twisted_check(z: int, delta_exp: float = 0.4, M_frac: float = 1.
                         seed, C0, {"q": q, "chi_index": chi_index})
 
 
-def mean_square_exact(z: int, delta_exp: float, M_frac: float,
-                      z_cap: int = 10**7) -> float:
-    """Exact (1/z) int_z^{2z} |psi(t+M)-psi(t)-M|^2 dt (validation mode).
-
-    The integrand is constant on [j, j+1) for integer j, so the integral is
-    a plain sum; only offered at small z.
-    """
-    if z > z_cap:
-        raise ValueError(f"exact mode is capped at z <= {z_cap}")
-    delta = int(round(z**delta_exp))
-    M = int(round(M_frac * delta))
-    if M == 0:
-        return 0.0
-    table = shared_prime_table(math.isqrt(2 * z + M) + 1)
-    lam = sieve_window(z + 1, 2 * z + M + 1, table).lam
-    cum = np.concatenate(([0.0], np.cumsum(lam)))
-    inc = cum[M: M + z] - cum[:z]  # psi(j+M) - psi(j) for j = z .. 2z-1
-    return float(((inc - M) ** 2).mean())
-
-
 def default_grid(seed: int = 0) -> list[LemmaReport]:
     """One representative check per lemma at desk-fast parameters."""
     rng = np.random.default_rng(seed)

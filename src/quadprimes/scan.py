@@ -9,7 +9,7 @@ The scan iterates over n: the admissible m = n^2 + k form a contiguous
 integer interval of length <= K, so Lambda is evaluated on shared segmented
 sieve windows and scatter-added into per-k accumulators.  That costs
 O(cells * log log) sieve work instead of one primality test per candidate;
-the per-candidate route survives as the cross-check oracle in the tests.
+the per-candidate route is the cross-check oracle in the tests.
 
 Segments are processed in a fixed order and partial accumulators are folded
 in that same order regardless of thread count, so results are bit-identical
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .arith import (INT63_CAP, PrimeTable, isqrt_array, shared_prime_table,
-                    sieve_window, von_mangoldt)
+                    sieve_window)
 from .singular import DEFAULT_TRUNCATION, cached_singular_values
 
 SEGMENT_SIZE = 1 << 22
@@ -82,27 +82,6 @@ class MomentReport:
     ratio: float
     exceptional_count: int
     runtime_stats: dict = field(default_factory=dict)
-
-
-def window_count(k: int, t: int, delta: int) -> int:
-    """#{n >= 1 : t < n^2 + k <= t + delta}, exact."""
-    if k < 1 or t < 0 or delta < 0:
-        raise ValueError("require k >= 1, t >= 0, delta >= 0")
-    top = t + delta - k
-    if top < 0:
-        return 0
-    return math.isqrt(top) - math.isqrt(max(t - k, 0))
-
-
-def window_lambda_sum(k: int, t: int, delta: int) -> float:
-    """Sum of Lambda(n^2 + k) over the same n-range, one term at a time."""
-    if t + delta + k >= INT63_CAP:
-        raise OverflowError("window top exceeds the 2^63-1 cap")
-    if k < 1 or t < 0 or delta < 0:
-        raise ValueError("require k >= 1, t >= 0, delta >= 0")
-    n_lo = math.isqrt(max(t - k, 0)) + 1
-    n_hi = math.isqrt(t + delta - k) if t + delta - k >= 0 else 0
-    return sum(von_mangoldt(n * n + k) for n in range(n_lo, n_hi + 1))
 
 
 def _segment_jobs(t: int, delta: int, K: int, seg_size: int):
@@ -217,12 +196,6 @@ def full_window_moment(config: ScanConfig, P: int = DEFAULT_TRUNCATION,
     return scan, report
 
 
-def theorem1_moment(config: ScanConfig, P: int = DEFAULT_TRUNCATION,
-                    threads: int = 1) -> MomentReport:
-    """Full-window moment report over (z, 2z]; see full_window_moment."""
-    return full_window_moment(config, P, threads)[1]
-
-
 def sample_points(z: int, t_samples: int, seed: int | None = None) -> list[int]:
     """t-sample grid in [z, 2z): evenly spaced, or seeded-uniform if seed given."""
     if t_samples < 1:
@@ -256,7 +229,7 @@ def theorem2_moment(config: ScanConfig, P: int = DEFAULT_TRUNCATION,
     inner_arr = np.asarray(inner)
     lhs = config.z * float(inner_arr.mean())
     bound = delta**2 * config.K / math.log(config.z) ** config.B
-    exc = 0  # exceptional counts are a full-window notion; see theorem1_moment
+    exc = 0  # exceptional counts are a full-window notion; see full_window_moment
     agg["t_samples"] = t_samples
     agg["seed"] = seed
     agg["t_points"] = ts

@@ -6,13 +6,112 @@ compared.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from quadprimes.arith import shared_prime_table, sieve_window
+from quadprimes.arith import (INT63_CAP, euler_phi, factorize, isqrt_array,
+                              shared_prime_table, sieve_window)
+from quadprimes.characters import Character, CharacterTable
+from quadprimes.dispersion import DispersionParams
 from quadprimes.scan import ScanConfig, progression_sums
 from quadprimes.singular import (DEFAULT_TRUNCATION, _odd_primes_up_to,
                                  cached_singular_values)
+
+# ---------------------------------------------------------------------------
+# primality and von Mangoldt, one integer at a time
+# ---------------------------------------------------------------------------
+
+# Deterministic Miller-Rabin witnesses; this set is correct for every
+# n < 3.317e24, which covers the full 64-bit range used here.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def integer_nth_root(n: int, e: int) -> int:
+    """Exact floor(n^(1/e)) for n >= 0, e >= 1."""
+    if n < 0 or e < 1:
+        raise ValueError("require n >= 0 and e >= 1")
+    if e == 1 or n < 2:
+        return n
+    if e == 2:
+        return math.isqrt(n)
+    r = int(round(n ** (1.0 / e)))
+    while r > 0 and r**e > n:
+        r -= 1
+    while (r + 1) ** e <= n:
+        r += 1
+    return r
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic primality for 0 <= n < 2^64."""
+    if n < 2:
+        return False
+    for p in _MR_WITNESSES:
+        if n % p == 0:
+            return n == p
+    d = n - 1
+    s = 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def perfect_power_base(n: int) -> tuple[int, int]:
+    """Write n >= 2 as base^exp with base not a perfect power; exp may be 1."""
+    base, exp = n, 1
+    e = 2
+    while (1 << e) <= base:
+        r = integer_nth_root(base, e)
+        if r**e == base:
+            base, exp = r, exp * e
+        else:
+            e += 1
+    return base, exp
+
+
+def von_mangoldt(n: int) -> float:
+    """Lambda(n): log p if n = p^e for a prime p, else 0."""
+    if n < 2:
+        return 0.0
+    base, _ = perfect_power_base(n)
+    return math.log(base) if is_prime(base) else 0.0
+
+
+# ---------------------------------------------------------------------------
+# Dirichlet characters
+# ---------------------------------------------------------------------------
+
+def evaluate(chi: Character, n: int) -> complex:
+    """chi(n), periodic in n with period q."""
+    return complex(chi.values[n % chi.modulus])
+
+
+def conductors_by_induction(table: CharacterTable) -> list[int]:
+    """Each character's conductor as the smallest divisor d of q such that
+    the character is 1, to a float tolerance, on every unit n = 1 mod d."""
+    q = table.modulus
+    values = np.stack([chi.values for chi in table.characters])
+    units = np.array([n for n in range(q) if math.gcd(n, q) == 1])
+    divisors = [1]
+    for p, e in factorize(q) if q > 1 else []:
+        divisors = [d * p**i for d in divisors for i in range(e + 1)]
+    conductor = np.zeros(len(values), dtype=np.int64)
+    for d in sorted(divisors, reverse=True):
+        cols = units[units % d == 1 % d]
+        conductor[np.all(np.abs(values[:, cols] - 1.0) < 1e-9, axis=1)] = d
+    return conductor.tolist()
 
 # ---------------------------------------------------------------------------
 # singular series
@@ -107,6 +206,27 @@ def lower_bound_diagnostic(K: int, P: int) -> float:
 # scans
 # ---------------------------------------------------------------------------
 
+def window_count(k: int, t: int, delta: int) -> int:
+    """#{n >= 1 : t < n^2 + k <= t + delta}, exact."""
+    if k < 1 or t < 0 or delta < 0:
+        raise ValueError("require k >= 1, t >= 0, delta >= 0")
+    top = t + delta - k
+    if top < 0:
+        return 0
+    return math.isqrt(top) - math.isqrt(max(t - k, 0))
+
+
+def window_lambda_sum(k: int, t: int, delta: int) -> float:
+    """Sum of Lambda(n^2 + k) over the same n-range, one term at a time."""
+    if t + delta + k >= INT63_CAP:
+        raise OverflowError("window top exceeds the 2^63-1 cap")
+    if k < 1 or t < 0 or delta < 0:
+        raise ValueError("require k >= 1, t >= 0, delta >= 0")
+    n_lo = math.isqrt(max(t - k, 0)) + 1
+    n_hi = math.isqrt(t + delta - k) if t + delta - k >= 0 else 0
+    return sum(von_mangoldt(n * n + k) for n in range(n_lo, n_hi + 1))
+
+
 def theorem2_exact_integral(config: ScanConfig, P: int = DEFAULT_TRUNCATION,
                             z_cap: int = 10**6) -> float:
     """Exact int_z^{2z} sum_k |A_k - S(k) c_k|^2 dt (validation mode).
@@ -137,4 +257,89 @@ def theorem2_exact_integral(config: ScanConfig, P: int = DEFAULT_TRUNCATION,
                 k = m - n * n
                 lam[k - 1] += sign * lam_all[m - z - 1]
                 counts[k - 1] += sign
+    return total
+
+
+# ---------------------------------------------------------------------------
+# lemmas
+# ---------------------------------------------------------------------------
+
+def mean_square_exact(z: int, delta_exp: float, M_frac: float,
+                      z_cap: int = 10**7) -> float:
+    """Exact (1/z) int_z^{2z} |psi(t+M)-psi(t)-M|^2 dt (validation mode).
+
+    The integrand is constant on [j, j+1) for integer j, so the integral is
+    a plain sum; only offered at small z.
+    """
+    if z > z_cap:
+        raise ValueError(f"exact mode is capped at z <= {z_cap}")
+    delta = int(round(z**delta_exp))
+    M = int(round(M_frac * delta))
+    if M == 0:
+        return 0.0
+    table = shared_prime_table(math.isqrt(2 * z + M) + 1)
+    lam = sieve_window(z + 1, 2 * z + M + 1, table).lam
+    cum = np.concatenate(([0.0], np.cumsum(lam)))
+    inc = cum[M: M + z] - cum[:z]  # psi(j+M) - psi(j) for j = z .. 2z-1
+    return float(((inc - M) ** 2).mean())
+
+
+# ---------------------------------------------------------------------------
+# dispersion main term
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class MTildeParams(DispersionParams):
+    """DispersionParams plus the moduli range of m_tilde; C is the log-power
+    in the cutoff L."""
+    C: float = 2.0
+
+    @property
+    def L(self) -> float:
+        return math.log(self.z) ** self.C
+
+    @property
+    def D1(self) -> float:
+        return self.delta / (8 * self.L * math.sqrt(self.z))
+
+    @property
+    def D2(self) -> float:
+        return self.delta / (2 * math.sqrt(self.z))
+
+
+def _ceil_sqrt(x: np.ndarray) -> np.ndarray:
+    """Exact elementwise ceil(sqrt(max(x, 0))) for int64 input."""
+    x = np.maximum(x, 0)
+    r = isqrt_array(x)
+    return r + (r * r < x)
+
+
+def m_tilde(params: MTildeParams, t: int) -> float:
+    """Direct triple sum 2 sum_q phi(4q)^-1 sum_m1 #I(t, m1, q), which shares
+    the main term (Delta^2 K / 4t) * prod_{p>2}(1 + 1/(p(p-1))) of U, V, W.
+
+    I(t, m, q) = (m - 4q(sqrt(m)-q), m - 4q(sqrt(m-K)-q)] intersected with
+    (t, t+Delta].  Integer counts come from exact floor/ceil of 4q sqrt(x) =
+    sqrt(16 q^2 x), so no floating-point slack is needed.
+    """
+    if t + 1 - params.K < 0:
+        raise ValueError("window contains m with m - K < 0")
+    q_lo = max(1, math.ceil(params.D1))
+    q_hi = math.floor(params.D2)
+    if q_hi < q_lo or params.delta == 0:
+        return 0.0
+    top = t + params.delta
+    if 16 * q_hi * q_hi * top >= 2**63:
+        raise OverflowError("16 q^2 m exceeds the int64 range")
+    m = np.arange(t + 1, top + 1, dtype=np.int64)
+    total = 0.0
+    for q in range(q_lo, q_hi + 1):
+        c16 = 16 * q * q
+        base = m + 4 * q * q
+        floor_lo = base - _ceil_sqrt(c16 * m)            # floor of the open end
+        floor_hi = base - _ceil_sqrt(c16 * (m - params.K))
+        lo = np.maximum(floor_lo, t)
+        hi = np.minimum(floor_hi, top)
+        count = int(np.maximum(hi - lo, 0).sum())
+        total += 2.0 * count / euler_phi(4 * q)
     return total

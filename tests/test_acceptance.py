@@ -13,19 +13,19 @@ import time
 import numpy as np
 import pytest
 
+from oracles import (MTildeParams, m_tilde, von_mangoldt, window_count,
+                     window_lambda_sum)
 from quadprimes.cli import main as cli_main
-from quadprimes.dispersion import DispersionParams, identity_check, m_tilde
+from quadprimes.dispersion import DispersionParams, identity_check
 from quadprimes.lemmas import (large_sieve_single_check, legendre_sum_check,
                                mean_square_check, mean_square_twisted_check,
                                phi_average_check, polya_vinogradov_check)
 from quadprimes.lemmas import _group as character_group
 from quadprimes.arith import mobius
 from quadprimes.characters import primitive_characters
-from quadprimes.scan import (ScanConfig, progression_sums, theorem2_moment,
-                             window_count, window_lambda_sum)
+from quadprimes.scan import ScanConfig, progression_sums, theorem2_moment
 from quadprimes.singular import (DEFAULT_TRUNCATION, cached_singular_values,
                                  main_term_constant)
-from quadprimes.arith import von_mangoldt
 
 SEED = 20260808
 
@@ -236,7 +236,7 @@ def test_criterion_09_main_terms():
     z = 10**6
     delta = int(round(z**0.8))
     K = math.ceil(round(z**0.6, 6))
-    params = DispersionParams(z=z, K=K, delta=delta, B=1.0)
+    params = MTildeParams(z=z, K=K, delta=delta, B=1.0)
     c0 = main_term_constant(10**6)
     ratios = []
     for t in (z, z + z // 3, 2 * z - delta):

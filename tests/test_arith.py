@@ -8,11 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quadprimes.arith import (INT63_CAP, euler_phi, integer_nth_root,
-                              integer_sqrt, is_prime, isqrt_array, kronecker,
-                              mobius, perfect_power_base, primes_up_to,
-                              shared_prime_table, sieve_window, von_mangoldt)
-from quadprimes.dispersion import _ceil_sqrt
+from oracles import (_ceil_sqrt, integer_nth_root, is_prime, perfect_power_base,
+                     von_mangoldt)
+from quadprimes.arith import (INT63_CAP, euler_phi, isqrt_array, kronecker, mobius,
+                              primes_up_to, shared_prime_table, sieve_window)
 
 # the largest r with r^2 <= 2^63 - 1
 ROOT_CAP = math.isqrt(INT63_CAP)
@@ -155,22 +154,6 @@ def test_multiplicativity_on_coprime_pairs():
 # ---------------------------------------------------------------------------
 # roots
 # ---------------------------------------------------------------------------
-
-def test_integer_sqrt_examples():
-    assert integer_sqrt(0) == 0
-    assert integer_sqrt(10) == 3
-    s = integer_sqrt(2**62 - 1)
-    assert s == 2147483647
-    assert s * s <= 2**62 - 1 < (s + 1) * (s + 1)
-
-
-def test_integer_sqrt_random_64bit():
-    rng = random.Random(6)
-    for _ in range(500):
-        n = rng.randint(0, 2**63 - 1)
-        s = integer_sqrt(n)
-        assert s * s <= n < (s + 1) * (s + 1)
-
 
 def test_integer_nth_root():
     assert integer_nth_root(0, 5) == 0

@@ -6,9 +6,9 @@ import random
 import numpy as np
 import pytest
 
+from oracles import conductors_by_induction, evaluate
 from quadprimes.arith import euler_phi, kronecker, mobius
-from quadprimes.characters import (build_character_group, evaluate,
-                                   primitive_characters)
+from quadprimes.characters import build_character_group, primitive_characters
 
 
 def divisors(q):
@@ -139,6 +139,15 @@ def test_primitive_count_formula_all_q_up_to_1000():
         table = build_character_group(q)
         expect = sum(mobius(q // d) * euler_phi(d) for d in divisors(q))
         assert len(primitive_characters(table)) == expect, q
+
+
+def test_conductors_match_induction_oracle_all_q_up_to_200():
+    # exact conductors from the exponent vector against the float search for
+    # the least d | q on whose units n = 1 mod d the character is 1
+    for q in range(1, 201):
+        table = build_character_group(q)
+        assert ([chi.conductor for chi in table.characters]
+                == conductors_by_induction(table)), q
 
 
 def test_conductor_matches_inducing_character():

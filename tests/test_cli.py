@@ -1,6 +1,7 @@
 """Tests for the command-line runner: parsing, outputs, exit codes."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 import quadprimes.cli as cli
 from quadprimes.cli import CliError, RunConfig, main, parse_config
 from quadprimes.lemmas import LemmaReport
-from quadprimes.scan import ScanConfig, theorem1_moment
+from quadprimes.scan import ScanConfig, full_window_moment
 from quadprimes.singular import (DEFAULT_TRUNCATION, batch_singular_values,
                                  singular_error_bound)
 
@@ -122,7 +123,7 @@ def test_moment1_reports_scan_stats_and_theorem1_values(tmp_path):
     moment = json.loads((tmp_path / "summary.json").read_text())["moment"]
     assert moment["runtime_stats"]["segments"] > 0
     assert moment["runtime_stats"]["cells"] > 0
-    report = theorem1_moment(ScanConfig(z=20000, K=150, B=1.5))
+    report = full_window_moment(ScanConfig(z=20000, K=150, B=1.5))[1]
     assert moment["lhs"] == report.lhs
     assert moment["exceptional_count"] == report.exceptional_count
     assert moment["bound"] == report.bound
@@ -175,7 +176,7 @@ def test_singular_and_constant_commands(tmp_path):
     code = main(["singular", "--K=8", "--P=1000", f"--out={tmp_path}/s"])
     assert code == 0
     lines = (tmp_path / "s" / "results.csv").read_text().strip().splitlines()
-    assert lines[0] == "k,P,value,error_bound"
+    assert lines[0] == "k,P,value"
     assert len(lines) == 9
     assert lines[1].startswith("1,1000,")
     summary = json.loads((tmp_path / "s" / "summary.json").read_text())
@@ -195,7 +196,17 @@ def test_singular_columns_are_the_batch_and_its_bound(tmp_path, K, P):
     values = np.array([float(r[2]) for r in rows])
     full = batch_singular_values(K, P)
     assert values.view(np.int64).tolist() == full.view(np.int64).tolist()
-    assert {float(r[3]) for r in rows} == {singular_error_bound(P)}
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["health"] == {"singular_error_bound": singular_error_bound(P)}
+
+
+def test_singular_refuses_an_oversized_batch(tmp_path, capsys):
+    started = time.perf_counter()
+    assert main(["singular", "--K=1", "--P=10000000", f"--out={tmp_path}"]) == 1
+    assert time.perf_counter() - started < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: S(k) for K=1 with P=10000000 needs about 7.79e+12 cell")
+    assert not (tmp_path / "results.csv").exists()
 
 
 def test_health_reports_the_singular_error_bound(tmp_path):

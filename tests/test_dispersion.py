@@ -6,10 +6,11 @@ import random
 import numpy as np
 import pytest
 
-from quadprimes.arith import euler_phi, von_mangoldt
+from oracles import (MTildeParams, m_tilde, von_mangoldt, window_count,
+                     window_lambda_sum)
+from quadprimes.arith import euler_phi
 from quadprimes.dispersion import (DispersionParams, dispersion_profile,
-                                   identity_check, m_tilde)
-from quadprimes.scan import window_count, window_lambda_sum
+                                   identity_check)
 from quadprimes.singular import DEFAULT_TRUNCATION, cached_singular_values
 
 
@@ -46,7 +47,7 @@ def m_tilde_brute(params, t):
 
 
 def test_params_derived_quantities():
-    p = DispersionParams(z=10**6, K=1000, delta=10**4, B=1.0, C=2.0)
+    p = MTildeParams(z=10**6, K=1000, delta=10**4, B=1.0, C=2.0)
     lz = math.log(10**6)
     assert p.L == pytest.approx(lz**2)
     assert p.E == pytest.approx(10**8 * 1000 / (10**6 * lz))
@@ -54,7 +55,7 @@ def test_params_derived_quantities():
     assert p.D2 == pytest.approx(10**4 / 2000)
     assert p.D1 < p.D2
     assert p.L >= 1.0
-    assert DispersionParams(z=10**6, K=10, delta=100, C=3.0).L == pytest.approx(lz**3)
+    assert MTildeParams(z=10**6, K=10, delta=100, C=3.0).L == pytest.approx(lz**3)
     with pytest.raises(ValueError):
         DispersionParams(z=2, K=1, delta=1)
 
@@ -155,20 +156,20 @@ def test_terms_monotone_in_delta():
 
 def test_m_tilde_empty_q_range():
     # D2 = delta / (2 sqrt(z)) < 1 leaves no admissible q
-    p = DispersionParams(z=10**4, K=50, delta=100)
+    p = MTildeParams(z=10**4, K=50, delta=100)
     assert p.D2 < 1
     assert m_tilde(p, 10**4) == 0.0
 
 
 def test_m_tilde_tiny_K_empty_intervals():
     # interval lengths ~ 2qK/sqrt(m) < 1, so no m2 survives
-    p = DispersionParams(z=10**6, K=1, delta=4000)
+    p = MTildeParams(z=10**6, K=1, delta=4000)
     assert math.floor(p.D2) >= 1
     assert m_tilde(p, 10**6) == 0.0
 
 
 def test_m_tilde_rejects_small_window():
-    p = DispersionParams(z=100, K=150, delta=50)
+    p = MTildeParams(z=100, K=150, delta=50)
     with pytest.raises(ValueError):
         m_tilde(p, 100)
 
@@ -179,7 +180,7 @@ def test_m_tilde_matches_brute_force():
         z = rng.randint(300, 4000)
         delta = rng.randint(2 * math.isqrt(z) + 1, min(6 * math.isqrt(z), z))
         K = rng.randint(1, min(60, z // 2))
-        p = DispersionParams(z=z, K=K, delta=delta)
+        p = MTildeParams(z=z, K=K, delta=delta)
         t = rng.randint(z, 2 * z - 1)
         assert m_tilde(p, t) == pytest.approx(m_tilde_brute(p, t), rel=1e-12), \
             (z, K, delta, t)

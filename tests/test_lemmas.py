@@ -6,11 +6,11 @@ import random
 import numpy as np
 import pytest
 
+from oracles import mean_square_exact, von_mangoldt
 from quadprimes.arith import euler_phi, kronecker, mobius
 from quadprimes.lemmas import (default_grid, large_sieve_avg_check,
                                large_sieve_single_check, legendre_sum_check,
-                               mean_square_check, mean_square_exact,
-                               mean_square_twisted_check, phi_average_check,
+                               mean_square_check, mean_square_twisted_check, phi_average_check,
                                phi_average_sum, polya_vinogradov_check,
                                short_ap_check)
 from quadprimes.singular import main_term_constant
@@ -201,7 +201,6 @@ def test_mean_square_exact_against_direct():
     z, delta_exp, m_frac = 300, 0.5, 1.0
     delta = int(round(z**delta_exp))
     M = int(round(m_frac * delta))
-    from quadprimes.arith import von_mangoldt
     direct = 0.0
     for j in range(z, 2 * z):
         inc = sum(von_mangoldt(n) for n in range(j + 1, j + M + 1))

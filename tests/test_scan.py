@@ -8,12 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quadprimes.arith import INT63_CAP, von_mangoldt
-from oracles import theorem2_exact_integral
+from oracles import (theorem2_exact_integral, von_mangoldt, window_count,
+                     window_lambda_sum)
+from quadprimes.arith import INT63_CAP
 from quadprimes.scan import (MomentReport, ScanConfig, exceptional_set,
-                             progression_sums, sample_points, scan_all_k,
-                             theorem1_moment, theorem2_moment, window_count,
-                             window_lambda_sum)
+                             full_window_moment, progression_sums, sample_points,
+                             scan_all_k, theorem2_moment)
 from quadprimes.singular import DEFAULT_TRUNCATION, cached_singular_values
 
 
@@ -163,7 +163,7 @@ def test_scan_config_validation_and_warnings():
 # ---------------------------------------------------------------------------
 
 def test_theorem1_single_k():
-    report = theorem1_moment(ScanConfig(z=500, K=1, B=1.0))
+    report = full_window_moment(ScanConfig(z=500, K=1, B=1.0))[1]
     scan = scan_all_k(ScanConfig(z=500, K=1))
     assert report.lhs == pytest.approx(scan.residual[0] ** 2, rel=1e-12)
     assert report.bound == pytest.approx(500 / math.log(500), rel=1e-12)
@@ -172,19 +172,19 @@ def test_theorem1_single_k():
 
 def test_theorem1_rejects_partial_window():
     with pytest.raises(ValueError):
-        theorem1_moment(ScanConfig(z=500, K=5, delta=100))
+        full_window_moment(ScanConfig(z=500, K=5, delta=100))
 
 
 def test_theorem1_truncation_stability():
     z, K = 10**6, 1995
     lhs = {}
     for P in (5 * 10**4, 10**5):
-        lhs[P] = theorem1_moment(ScanConfig(z=z, K=K, B=1.0), P=P).lhs
+        lhs[P] = full_window_moment(ScanConfig(z=z, K=K, B=1.0), P=P)[1].lhs
     assert abs(lhs[10**5] - lhs[5 * 10**4]) < 0.01 * lhs[10**5]
 
 
 def test_theorem2_full_window_matches_theorem1():
-    m1 = theorem1_moment(ScanConfig(z=1000, K=30))
+    m1 = full_window_moment(ScanConfig(z=1000, K=30))[1]
     m2 = theorem2_moment(ScanConfig(z=1000, K=30, delta=1000), t_samples=1)
     assert m2.lhs / 1000 == pytest.approx(m1.lhs, rel=1e-12)
 
