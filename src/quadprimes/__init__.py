@@ -4,8 +4,8 @@ from .arith import (PrimeTable, SieveWindow, euler_phi, kronecker, mobius,
                     primes_up_to, sieve_window)
 from .characters import (Character, CharacterTable, build_character_group,
                          primitive_characters)
-from .dispersion import (DispersionParams, DispersionSample, dispersion_profile,
-                         identity_check)
+from .dispersion import (DispersionSample, dispersion_profile, identity_check,
+                         reference_error)
 from .lemmas import (LemmaReport, large_sieve_avg_check, large_sieve_single_check,
                      legendre_sum_check, mean_square_check,
                      mean_square_twisted_check, phi_average_check,
@@ -26,8 +26,8 @@ __all__ = [
     "singular_error_bound",
     "MomentReport", "ScanColumns", "ScanConfig", "exceptional_set",
     "full_window_moment", "scan_all_k", "theorem2_moment",
-    "DispersionParams", "DispersionSample", "dispersion_profile",
-    "identity_check",
+    "DispersionSample", "dispersion_profile", "identity_check",
+    "reference_error",
     "LemmaReport", "large_sieve_avg_check", "large_sieve_single_check",
     "legendre_sum_check", "mean_square_check", "mean_square_twisted_check",
     "phi_average_check", "polya_vinogradov_check", "short_ap_check",

@@ -9,8 +9,8 @@ Provides:
 Everything downstream (singular series, progression scans, dispersion terms,
 lemma checks) is built on these primitives; Lambda is only ever evaluated
 through sieve windows.  All functions are pure;
-PrimeTable and SieveWindow are immutable after construction and safe to
-share across threads.
+PrimeTable and SieveWindow are immutable after construction, so concurrent
+callers may share them.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .dispersion import DispersionParams, dispersion_profile
+from .dispersion import dispersion_profile
 from .lemmas import default_grid
 from .scan import (MomentReport, ScanColumns, ScanConfig, full_window_moment,
                    scan_all_k, theorem2_moment)
@@ -34,7 +34,7 @@ COMMANDS = ("scan", "moment1", "moment2", "dispersion", "lemmas",
 # key -> type of its value
 _PARAM_TYPES = {
     "z": int, "K": int, "delta": int, "B": float, "P": int,
-    "t_samples": int, "seed": int, "grid": int, "threads": int,
+    "t_samples": int, "seed": int, "grid": int,
     "out": str, "config": str,
 }
 
@@ -43,14 +43,12 @@ _REQUIRED = object()     # marks a key that has no default
 # command -> {key: default} for every key the command reads, besides the
 # --out and --config that every command takes; any other key is refused.
 _KEYS = {
-    "scan": {"z": _REQUIRED, "K": _REQUIRED, "delta": None, "P": DEFAULT_TRUNCATION,
-             "threads": 1},
-    "moment1": {"z": _REQUIRED, "K": _REQUIRED, "B": 1.0, "P": DEFAULT_TRUNCATION,
-                "threads": 1},
+    "scan": {"z": _REQUIRED, "K": _REQUIRED, "delta": None, "P": DEFAULT_TRUNCATION},
+    "moment1": {"z": _REQUIRED, "K": _REQUIRED, "B": 1.0, "P": DEFAULT_TRUNCATION},
     "moment2": {"z": _REQUIRED, "K": _REQUIRED, "delta": _REQUIRED, "B": 1.0,
-                "P": DEFAULT_TRUNCATION, "t_samples": 16, "seed": None, "threads": 1},
+                "P": DEFAULT_TRUNCATION, "t_samples": 16, "seed": None},
     "dispersion": {"z": _REQUIRED, "K": _REQUIRED, "delta": _REQUIRED, "B": 1.0,
-                   "P": DEFAULT_TRUNCATION, "grid": 64, "seed": None, "threads": 1},
+                   "P": DEFAULT_TRUNCATION, "grid": 64, "seed": None},
     "lemmas": {"seed": 0},
     "singular": {"K": _REQUIRED, "P": DEFAULT_TRUNCATION},
     "constant": {"P": 10**6},
@@ -66,7 +64,6 @@ class RunConfig:
     command: str
     parameters: dict = field(default_factory=dict)
     output_dir: Path = Path(".")
-    threads: int = 1
 
 
 def _coerce(key: str, raw: str):
@@ -135,11 +132,7 @@ def parse_config(args: list[str], file: str | Path | None = None) -> RunConfig:
             raise CliError(f"missing required key: {key}")
 
     out = merged.pop("out", None) or f"runs/{command}"
-    threads = merged.pop("threads", 1)
-    if threads < 1:
-        raise CliError(f"threads must be >= 1, got {threads}")
-    return RunConfig(command=command, parameters=merged,
-                     output_dir=Path(out), threads=threads)
+    return RunConfig(command=command, parameters=merged, output_dir=Path(out))
 
 
 def _content_hash(data: bytes) -> str:
@@ -160,7 +153,6 @@ def _write_outputs(config: RunConfig, header: str, rows: list[str],
         "command": config.command,
         "parameters": {k: v for k, v in sorted(config.parameters.items())},
         "output_dir": str(config.output_dir),
-        "threads": config.threads,
         "rows": len(rows),
         "content_hash": _content_hash(csv_text.encode()),
         "timings": {"wall_seconds": time.perf_counter() - started},
@@ -199,7 +191,7 @@ def _run_scan(config: RunConfig, started: float) -> int:
     cfg = ScanConfig(z=p["z"], K=p["K"], delta=p.get("delta"))
     for warning in cfg.range_warnings():
         print(f"warning: {warning}", file=sys.stderr)
-    scan = scan_all_k(cfg, P=p["P"], threads=config.threads)
+    scan = scan_all_k(cfg, P=p["P"])
     _write_outputs(config, _SCAN_HEADER, _row_lines(scan), {}, started)
     return 0
 
@@ -209,7 +201,7 @@ def _run_moment1(config: RunConfig, started: float) -> int:
     cfg = ScanConfig(z=p["z"], K=p["K"], B=p["B"])
     for warning in cfg.range_warnings():
         print(f"warning: {warning}", file=sys.stderr)
-    scan, report = full_window_moment(cfg, P=p["P"], threads=config.threads)
+    scan, report = full_window_moment(cfg, P=p["P"])
     _write_outputs(config, _SCAN_HEADER, _row_lines(scan),
                    {"moment": _report_dict(report)}, started)
     return 0
@@ -221,7 +213,7 @@ def _run_moment2(config: RunConfig, started: float) -> int:
     for warning in cfg.range_warnings():
         print(f"warning: {warning}", file=sys.stderr)
     report = theorem2_moment(cfg, P=p["P"], t_samples=p["t_samples"],
-                             seed=p.get("seed"), threads=config.threads)
+                             seed=p.get("seed"))
     inner = report.runtime_stats["inner_sums"]
     ts = report.runtime_stats["t_points"]
     rows = [f"{i},{t},{val!r}" for i, (t, val) in enumerate(zip(ts, inner))]
@@ -232,13 +224,12 @@ def _run_moment2(config: RunConfig, started: float) -> int:
 
 def _run_dispersion(config: RunConfig, started: float) -> int:
     p = config.parameters
-    params = DispersionParams(z=p["z"], K=p["K"], delta=p["delta"], B=p["B"])
-    samples, summary = dispersion_profile(params, P=p["P"],
-                                          grid_points=p["grid"],
-                                          seed=p.get("seed"),
-                                          threads=config.threads)
+    cfg = ScanConfig(z=p["z"], K=p["K"], delta=p["delta"], B=p["B"])
+    samples, summary = dispersion_profile(cfg, P=p["P"], grid_points=p["grid"],
+                                          seed=p.get("seed"))
+    E = summary["E"]
     rows = [f"{s.t},{s.U!r},{s.V!r},{s.W!r},{s.combined!r},"
-            f"{s.direct_square!r},{s.main_term!r},{params.E!r}"
+            f"{s.direct_square!r},{s.main_term!r},{E!r}"
             for s in samples]
     _write_outputs(config, "t,U,V,W,combined,direct_square,main_term,E",
                    rows, {"profile": summary}, started)
@@ -302,7 +293,7 @@ def run(config: RunConfig) -> int:
         raise
     except OSError as exc:
         raise CliError(f"I/O failure: {exc}") from exc
-    except ValueError as exc:       # the library's own range checks
+    except (ValueError, OverflowError) as exc:  # the library's own range checks
         raise CliError(str(exc)) from exc
 
 

@@ -16,7 +16,7 @@ The direct triple sum m_tilde that recomputes it is a test oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,22 +26,9 @@ from .singular import CONSTANT_TRUNCATION, DEFAULT_TRUNCATION, main_term_constan
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy 2.x / 1.x
 
 
-@dataclass(frozen=True)
-class DispersionParams:
-    """Scale parameters of a dispersion run over t in [z, 2z]."""
-    z: int
-    K: int
-    delta: int
-    B: float = 1.0
-
-    def __post_init__(self):
-        if self.z < 3 or self.K < 1 or self.delta < 0:
-            raise ValueError("require z >= 3, K >= 1, delta >= 0")
-
-    @property
-    def E(self) -> float:
-        """Reference error size Delta^2 K / (z (log z)^B)."""
-        return self.delta**2 * self.K / (self.z * math.log(self.z) ** self.B)
+def reference_error(config: ScanConfig) -> float:
+    """Reference error size E = Delta^2 K / (z (log z)^B)."""
+    return config.delta**2 * config.K / (config.z * math.log(config.z) ** config.B)
 
 
 @dataclass(frozen=True)
@@ -55,23 +42,25 @@ class DispersionSample:
     main_term: float      # (Delta^2 K / 4t) * main-term constant
 
 
-def identity_check(params: DispersionParams, t: int,
-                   P: int = DEFAULT_TRUNCATION, threads: int = 1) -> DispersionSample:
+def identity_check(config: ScanConfig, t: int,
+                   P: int = DEFAULT_TRUNCATION) -> DispersionSample:
     """Evaluate U, V, W and both sides of the expansion identity at one t >= 3."""
-    scan = scan_all_k(ScanConfig(z=t, K=params.K, delta=params.delta), P, threads)
+    if config.delta is None:
+        raise ValueError("the dispersion terms need delta")
+    scan = scan_all_k(replace(config, z=t), P)  # window (t, t+delta]
     lam, counts, sing = scan.lambda_sum, scan.count, scan.singular
     U = float((lam * lam).sum())
     V = float((sing * counts * lam).sum())
     W = float((sing * sing * counts * counts).sum())
     direct = float((scan.residual * scan.residual).sum())
-    main = params.delta**2 * params.K / (4.0 * t) * main_term_constant(CONSTANT_TRUNCATION)
+    main = config.delta**2 * config.K / (4.0 * t) * main_term_constant(CONSTANT_TRUNCATION)
     return DispersionSample(t=t, U=U, V=V, W=W, combined=U - 2 * V + W,
                             direct_square=direct, main_term=main)
 
 
-def dispersion_profile(params: DispersionParams, t_grid: list[int] | None = None,
+def dispersion_profile(config: ScanConfig, t_grid: list[int] | None = None,
                        P: int = DEFAULT_TRUNCATION, grid_points: int = 64,
-                       seed: int | None = None, threads: int = 1):
+                       seed: int | None = None):
     """Sample U, V, W, the identity and the main term over a t-grid.
 
     Returns (samples, summary): trapezoid estimates of the three integrals
@@ -79,17 +68,18 @@ def dispersion_profile(params: DispersionParams, t_grid: list[int] | None = None
     the shared main term measured in units of E.
     """
     if t_grid is None:
-        t_grid = sample_points(params.z, grid_points, seed)
+        t_grid = sample_points(config.z, grid_points, seed)
     t_grid = sorted(int(v) for v in t_grid)
-    if not all(params.z <= t <= 2 * params.z for t in t_grid):
+    if not all(config.z <= t <= 2 * config.z for t in t_grid):
         raise ValueError("t grid must lie within [z, 2z]")
 
-    samples = [identity_check(params, t, P, threads) for t in t_grid]
+    samples = [identity_check(config, t, P) for t in t_grid]
+    E = reference_error(config)
 
     ts = np.asarray([s.t for s in samples], dtype=np.float64)
     summary: dict = {
-        "z": params.z, "K": params.K, "delta": params.delta,
-        "B": params.B, "E": params.E,
+        "z": config.z, "K": config.K, "delta": config.delta,
+        "B": config.B, "E": E,
         "points": len(samples), "seed": seed,
     }
     for name in ("U", "V", "W", "combined"):
@@ -97,13 +87,13 @@ def dispersion_profile(params: DispersionParams, t_grid: list[int] | None = None
         if len(samples) > 1:
             summary[f"integral_{name}"] = float(_trapezoid(vals, ts))
         else:
-            summary[f"integral_{name}"] = float(vals[0] * params.z)
+            summary[f"integral_{name}"] = float(vals[0] * config.z)
     mains = np.asarray([s.main_term for s in samples])
     for name in ("U", "V", "W"):
         vals = np.asarray([getattr(s, name) for s in samples])
         summary[f"mean_{name}_minus_main_over_E"] = float(
-            ((vals - mains) / params.E).mean()) if params.E > 0 else math.nan
-    bound = params.delta**2 * params.K / math.log(params.z) ** params.B
+            ((vals - mains) / E).mean()) if E > 0 else math.nan
+    bound = config.delta**2 * config.K / math.log(config.z) ** config.B
     summary["combined_integral_over_bound"] = (
         summary["integral_combined"] / bound if bound > 0 else 0.0)
     summary["max_identity_residual"] = max(

@@ -10,17 +10,12 @@ integer interval of length <= K, so Lambda is evaluated on shared segmented
 sieve windows and scatter-added into per-k accumulators.  That costs
 O(cells * log log) sieve work instead of one primality test per candidate;
 the per-candidate route is the cross-check oracle in the tests.
-
-Segments are processed in a fixed order and partial accumulators are folded
-in that same order regardless of thread count, so results are bit-identical
-for any thread budget.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -135,7 +130,7 @@ def _scan_segment(job, t: int, delta: int, K: int, table: PrimeTable) -> np.ndar
 
 
 def progression_sums(t: int, delta: int, K: int, table: PrimeTable | None = None,
-                     threads: int = 1, seg_size: int = SEGMENT_SIZE):
+                     seg_size: int = SEGMENT_SIZE):
     """(A_k array, c_k array, stats) for the window (t, t+delta], k = 1..K."""
     if t < 0 or delta < 0 or K < 1:
         raise ValueError("require t >= 0, delta >= 0, K >= 1")
@@ -146,14 +141,8 @@ def progression_sums(t: int, delta: int, K: int, table: PrimeTable | None = None
         table = shared_prime_table(max(2, math.isqrt(t + delta) + 1))
     jobs = _segment_jobs(t, delta, K, seg_size)
     lambda_sums = np.zeros(K, dtype=np.float64)
-    if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = pool.map(lambda j: _scan_segment(j, t, delta, K, table), jobs)
-            for part in partials:  # fixed job order: thread-count independent
-                lambda_sums += part
-    else:
-        for job in jobs:
-            lambda_sums += _scan_segment(job, t, delta, K, table)
+    for job in jobs:
+        lambda_sums += _scan_segment(job, t, delta, K, table)
     ks = np.arange(1, K + 1, dtype=np.int64)
     top = np.maximum(t + delta - ks, 0)
     bot = np.maximum(t - ks, 0)
@@ -162,23 +151,20 @@ def progression_sums(t: int, delta: int, K: int, table: PrimeTable | None = None
         "seconds": time.perf_counter() - started,
         "segments": len(jobs),
         "cells": int(sum(hi - lo for lo, hi, _, _ in jobs)),
-        "threads": threads,
     }
     return lambda_sums, counts, stats
 
 
-def scan_all_k(config: ScanConfig, P: int = DEFAULT_TRUNCATION,
-               threads: int = 1) -> ScanColumns:
+def scan_all_k(config: ScanConfig, P: int = DEFAULT_TRUNCATION) -> ScanColumns:
     """A_k, c_k, S(k) and A_k - S(k) c_k for every k <= K over the window."""
-    lam, counts, stats = progression_sums(config.z, config.window_delta, config.K,
-                                          threads=threads)
+    lam, counts, stats = progression_sums(config.z, config.window_delta, config.K)
     sing = cached_singular_values(config.K, P)
     return ScanColumns(lambda_sum=lam, count=counts, singular=sing,
                        residual=lam - sing * counts, stats=stats)
 
 
-def full_window_moment(config: ScanConfig, P: int = DEFAULT_TRUNCATION,
-                       threads: int = 1) -> tuple[ScanColumns, MomentReport]:
+def full_window_moment(config: ScanConfig,
+                       P: int = DEFAULT_TRUNCATION) -> tuple[ScanColumns, MomentReport]:
     """Scan (z, 2z] and reduce it: lhs = sum_k (A_k - S(k) c_k)^2.
 
     Compared against the bound K z / (log z)^B; the report also counts the
@@ -186,7 +172,7 @@ def full_window_moment(config: ScanConfig, P: int = DEFAULT_TRUNCATION,
     """
     if config.delta is not None and config.delta != config.z:
         raise ValueError("the full-window moment uses (z, 2z]; leave delta unset")
-    scan = scan_all_k(config, P, threads)
+    scan = scan_all_k(config, P)
     lhs = float((scan.residual * scan.residual).sum())
     bound = config.K * config.z / math.log(config.z) ** config.B
     report = MomentReport(config=config, lhs=lhs, bound=bound, ratio=lhs / bound,
@@ -207,8 +193,7 @@ def sample_points(z: int, t_samples: int, seed: int | None = None) -> list[int]:
 
 
 def theorem2_moment(config: ScanConfig, P: int = DEFAULT_TRUNCATION,
-                    t_samples: int = 16, seed: int | None = None,
-                    threads: int = 1) -> MomentReport:
+                    t_samples: int = 16, seed: int | None = None) -> MomentReport:
     """Short-segment moment: estimates int_z^{2z} sum_k |...|^2 dt by sampling.
 
     The t-integral is approximated by z times the mean of the inner sum at
@@ -219,9 +204,9 @@ def theorem2_moment(config: ScanConfig, P: int = DEFAULT_TRUNCATION,
     delta = config.delta
     ts = sample_points(config.z, t_samples, seed)
     inner = []
-    agg = {"seconds": 0.0, "segments": 0, "cells": 0, "threads": threads}
+    agg = {"seconds": 0.0, "segments": 0, "cells": 0}
     for t in ts:
-        scan = scan_all_k(replace(config, z=t), P, threads)  # window (t, t+delta]
+        scan = scan_all_k(replace(config, z=t), P)  # window (t, t+delta]
         inner.append(float((scan.residual * scan.residual).sum()))
         agg["seconds"] += scan.stats["seconds"]
         agg["segments"] += scan.stats["segments"]

@@ -38,6 +38,9 @@ _UNIT_ROUNDOFF = 2.0**-53
 # cells than this.  An estimated cell took 0.5 ns (K = P = 1e5) to 1.6 ns
 # (K = 1, P = 2e5) on a 2-core x86 box, so the cap is a few seconds of work.
 MAX_BATCH_CELLS = 4 * 10**9
+# A cell of class_numbers' strided slices took 4.6 ns (K = 1e6) to 8.4 ns
+# (K = 1e5) on the same box, so each counts as this many cells.
+_STRIDED_CELL_WEIGHT = 4
 
 
 def _odd_primes_up_to(limit: int) -> np.ndarray:
@@ -124,17 +127,20 @@ def batch_singular_values(K: int, P: int) -> np.ndarray:
     only on k mod p) added across an (m, p) view of the accumulator: O(K)
     work per prime p <= K and O(p) per prime p > K.  Their sum over p <= P is
     at most pi(P) max(P, K + 1), with pi(P) < 1.25506 P / log P (Rosser and
-    Schoenfeld, Illinois J. Math. 6 (1962)); calls over MAX_BATCH_CELLS are
-    refused before anything is allocated.
+    Schoenfeld, Illinois J. Math. 6 (1962)).  class_numbers adds, for each
+    of its about K/3 pairs (a, b), a stride-a slice of about K/a cells:
+    K^(3/2) / sqrt(3) in all.  Calls over MAX_BATCH_CELLS are refused before
+    anything is allocated.
     """
     if K < 1:
         raise ValueError("K must be positive")
     if P < 3:
         raise ValueError("P must be >= 3")
-    cells = 1.25506 * P / math.log(P) * max(P, K + 1)
+    cells = (1.25506 * P / math.log(P) * max(P, K + 1)
+             + _STRIDED_CELL_WEIGHT * K**1.5 / math.sqrt(3))
     if cells > MAX_BATCH_CELLS:
         raise ValueError(f"S(k) for K={K} with P={P} needs about {cells:.2e} cell "
-                         f"updates, over the cap of {MAX_BATCH_CELLS:.0e}; lower P")
+                         f"updates, over the cap of {MAX_BATCH_CELLS:.0e}; lower K or P")
     acc = np.zeros(K + 1)
     _add_patterns(acc, _odd_primes_up_to(P))
     k = np.arange(1, K + 1)

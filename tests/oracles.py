@@ -13,7 +13,6 @@ import numpy as np
 from quadprimes.arith import (INT63_CAP, euler_phi, factorize, isqrt_array,
                               shared_prime_table, sieve_window)
 from quadprimes.characters import Character, CharacterTable
-from quadprimes.dispersion import DispersionParams
 from quadprimes.scan import ScanConfig, progression_sums
 from quadprimes.singular import (DEFAULT_TRUNCATION, _odd_primes_up_to,
                                  cached_singular_values)
@@ -289,8 +288,8 @@ def mean_square_exact(z: int, delta_exp: float, M_frac: float,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class MTildeParams(DispersionParams):
-    """DispersionParams plus the moduli range of m_tilde; C is the log-power
+class MTildeParams(ScanConfig):
+    """ScanConfig plus the moduli range of m_tilde; C is the log-power
     in the cutoff L."""
     C: float = 2.0
 

@@ -33,7 +33,6 @@ def test_parse_basic_moment1():
     assert cfg.parameters["K"] == 1000
     assert cfg.parameters["B"] == 1.0
     assert cfg.parameters["P"] == DEFAULT_TRUNCATION == 10**4  # default
-    assert cfg.threads == 1
 
 
 def test_parse_missing_required_key():
@@ -46,11 +45,11 @@ def test_parse_unknown_command_and_key():
         parse_config(["frobnicate"])
     with pytest.raises(CliError, match="unknown key: zz"):
         parse_config(["moment1", "--zz=5"])
-    for key in ("tol", "x", "lo", "hi", "action", "cache_dir", "C"):  # removed keys
+    for key in ("tol", "x", "lo", "hi", "action", "cache_dir", "C", "threads"):  # removed
         with pytest.raises(CliError, match=f"unknown key: {key}$"):
             parse_config(["moment1", "--z=1000", "--K=10", f"--{key}=1"])
     for command, key, args in (("moment1", "delta", ["--z=1000", "--K=10"]),  # not read
-                               ("lemmas", "threads", []),
+                               ("lemmas", "grid", []),
                                ("scan", "B", ["--z=100", "--K=5"])):
         with pytest.raises(CliError, match=f"^{command} does not take --{key}$"):
             parse_config([command, *args, f"--{key}=2"])
@@ -66,8 +65,13 @@ def test_parse_malformed_value_and_flag():
     with pytest.raises(CliError, match="malformed flag"):
         parse_config(["moment1", "-z=10"])
     for threads in (0, -3):
-        with pytest.raises(CliError, match=f"^threads must be >= 1, got {threads}$"):
+        with pytest.raises(CliError, match="^unknown key: threads$"):
             parse_config(["scan", "--z=100", "--K=5", f"--threads={threads}"])
+
+
+def test_every_parsed_key_is_read_by_a_command():
+    read = set().union(*(keys.keys() for keys in cli._KEYS.values()))
+    assert set(cli._PARAM_TYPES) == {"out", "config"} | read
 
 
 def test_config_file_and_flag_precedence(tmp_path):
@@ -201,12 +205,14 @@ def test_singular_columns_are_the_batch_and_its_bound(tmp_path, K, P):
 
 
 def test_singular_refuses_an_oversized_batch(tmp_path, capsys):
-    started = time.perf_counter()
-    assert main(["singular", "--K=1", "--P=10000000", f"--out={tmp_path}"]) == 1
-    assert time.perf_counter() - started < 1.0
-    err = capsys.readouterr().err
-    assert err.startswith("error: S(k) for K=1 with P=10000000 needs about 7.79e+12 cell")
-    assert not (tmp_path / "results.csv").exists()
+    for K, P, estimate in ((1, 10**7, "7.79e+12"),      # the correction product
+                           (10**7, 3, "7.31e+10")):     # the class numbers
+        started = time.perf_counter()
+        assert main(["singular", f"--K={K}", f"--P={P}", f"--out={tmp_path}"]) == 1
+        assert time.perf_counter() - started < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: S(k) for K={K} with P={P} needs about {estimate} cell")
+        assert not (tmp_path / "results.csv").exists()
 
 
 def test_health_reports_the_singular_error_bound(tmp_path):
@@ -223,17 +229,25 @@ def test_health_reports_the_singular_error_bound(tmp_path):
         assert "error_bound" not in (out / "results.csv").read_text()
 
 
-def test_error_exit_code_from_main(tmp_path):
+def test_error_exit_code_from_main(tmp_path, capsys):
     assert main(["moment2", "--z=100", "--K=2"]) == 1  # missing delta
     assert main(["nonsense"]) == 1
     assert main(["moment1", "--z=100", "--K=2", "--delta=5"]) == 1  # key not read
     for threads in (0, -3):
         assert main(["moment1", "--z=100", "--K=2", f"--threads={threads}"]) == 1
+        assert capsys.readouterr().err.endswith("error: unknown key: threads\n")
 
 
 def test_library_range_error_moment1_z_too_small(tmp_path, capsys):
     assert main(["moment1", "--z=2", "--K=1", f"--out={tmp_path}"]) == 1
     assert capsys.readouterr().err == "error: z must be >= 3\n"
+
+
+def test_library_range_error_moment1_window_over_cap(tmp_path, capsys):
+    assert main(["moment1", "--z=5000000000000000000", "--K=1", f"--out={tmp_path}"]) == 1
+    lines = capsys.readouterr().err.splitlines()   # after the range warnings
+    assert [ln for ln in lines if not ln.startswith("warning: ")] == [
+        "error: window top exceeds the 2^63-1 cap"]
 
 
 def test_library_range_error_singular_k_zero(tmp_path, capsys):

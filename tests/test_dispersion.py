@@ -9,8 +9,9 @@ import pytest
 from oracles import (MTildeParams, m_tilde, von_mangoldt, window_count,
                      window_lambda_sum)
 from quadprimes.arith import euler_phi
-from quadprimes.dispersion import (DispersionParams, dispersion_profile,
-                                   identity_check)
+from quadprimes.dispersion import (dispersion_profile, identity_check,
+                                   reference_error)
+from quadprimes.scan import ScanConfig
 from quadprimes.singular import DEFAULT_TRUNCATION, cached_singular_values
 
 
@@ -50,31 +51,39 @@ def test_params_derived_quantities():
     p = MTildeParams(z=10**6, K=1000, delta=10**4, B=1.0, C=2.0)
     lz = math.log(10**6)
     assert p.L == pytest.approx(lz**2)
-    assert p.E == pytest.approx(10**8 * 1000 / (10**6 * lz))
+    assert reference_error(p) == pytest.approx(10**8 * 1000 / (10**6 * lz))
     assert p.D1 == pytest.approx(10**4 / (8 * lz**2 * 1000))
     assert p.D2 == pytest.approx(10**4 / 2000)
     assert p.D1 < p.D2
     assert p.L >= 1.0
     assert MTildeParams(z=10**6, K=10, delta=100, C=3.0).L == pytest.approx(lz**3)
     with pytest.raises(ValueError):
-        DispersionParams(z=2, K=1, delta=1)
+        ScanConfig(z=2, K=1, delta=1)
 
 
 def test_terms_vanish_for_empty_window():
-    p = DispersionParams(z=100, K=5, delta=0)
+    p = ScanConfig(z=100, K=5, delta=0)
     s = identity_check(p, 150)
     assert s.U == s.V == s.W == s.combined == s.direct_square == 0.0
 
 
 def test_identity_check_refuses_t_below_3():
-    p = DispersionParams(z=100, K=5, delta=50)
+    p = ScanConfig(z=100, K=5, delta=50)
     for t in (0, 2):
         with pytest.raises(ValueError, match="z must be >= 3"):
             identity_check(p, t)
 
 
+def test_dispersion_refuses_a_config_without_delta():
+    p = ScanConfig(z=100, K=5)
+    with pytest.raises(ValueError, match="^the dispersion terms need delta$"):
+        identity_check(p, 150)
+    with pytest.raises(ValueError, match="^the dispersion terms need delta$"):
+        dispersion_profile(p, grid_points=2)
+
+
 def test_u_term_single_contribution():
-    p = DispersionParams(z=100, K=1, delta=50)
+    p = ScanConfig(z=100, K=1, delta=50)
     assert identity_check(p, 100).U == pytest.approx(math.log(101) ** 2, rel=1e-12)
 
 
@@ -84,20 +93,20 @@ def test_u_term_factored_equals_double_loop():
         t = rng.randint(50, 1000)
         delta = rng.randint(0, 200)
         K = rng.randint(1, 20)
-        p = DispersionParams(z=max(t, 3), K=K, delta=delta)
+        p = ScanConfig(z=max(t, 3), K=K, delta=delta)
         assert identity_check(p, t).U == pytest.approx(u_double_loop(t, delta, K),
                                                        rel=1e-9, abs=1e-9)
 
 
 def test_v_term_pinned_components():
-    p = DispersionParams(z=100, K=1, delta=50)
+    p = ScanConfig(z=100, K=1, delta=50)
     s1 = float(cached_singular_values(1, DEFAULT_TRUNCATION)[0])
     assert identity_check(p, 100, P=DEFAULT_TRUNCATION).V == pytest.approx(
         s1 * 3 * math.log(101), rel=1e-12)
 
 
 def test_w_term_pinned_components():
-    p = DispersionParams(z=100, K=2, delta=50)
+    p = ScanConfig(z=100, K=2, delta=50)
     sing = cached_singular_values(2, DEFAULT_TRUNCATION)
     expect = sing[0] ** 2 * 9 + sing[1] ** 2 * 9  # counts are 3 and 3
     assert window_count(1, 100, 50) == window_count(2, 100, 50) == 3
@@ -107,7 +116,7 @@ def test_w_term_pinned_components():
 
 
 def test_identity_assembled_from_components():
-    p = DispersionParams(z=100, K=2, delta=50)
+    p = ScanConfig(z=100, K=2, delta=50)
     s = identity_check(p, 100, P=DEFAULT_TRUNCATION)
     sing = cached_singular_values(2, DEFAULT_TRUNCATION)
     direct = U = V = W = 0.0
@@ -133,7 +142,7 @@ def test_identity_random_instances():
         t = rng.randint(z, 2 * z)
         delta = rng.choice([0, 1, rng.randint(2, 400)])
         K = rng.randint(1, 60)
-        p = DispersionParams(z=z, K=K, delta=delta)
+        p = ScanConfig(z=z, K=K, delta=delta)
         s = identity_check(p, t)
         assert abs(s.combined - s.direct_square) <= 1e-9 * max(1.0, s.direct_square)
         assert s.combined >= -1e-9 * max(1.0, s.direct_square)
@@ -142,7 +151,7 @@ def test_identity_random_instances():
 def test_terms_monotone_in_delta():
     seen = {"U": [], "V": [], "W": []}
     for delta in (0, 10, 50, 100, 400):
-        p = DispersionParams(z=2000, K=25, delta=delta)
+        p = ScanConfig(z=2000, K=25, delta=delta)
         s = identity_check(p, 2100)
         for key in seen:
             seen[key].append(getattr(s, key))
@@ -191,7 +200,7 @@ def test_m_tilde_matches_brute_force():
 # ---------------------------------------------------------------------------
 
 def test_profile_single_point_reduces_to_identity_check():
-    p = DispersionParams(z=1000, K=10, delta=200)
+    p = ScanConfig(z=1000, K=10, delta=200)
     samples, summary = dispersion_profile(p, t_grid=[1500])
     s = identity_check(p, 1500)
     got = samples[0]
@@ -200,7 +209,7 @@ def test_profile_single_point_reduces_to_identity_check():
 
 
 def test_profile_grid_and_summary():
-    p = DispersionParams(z=2000, K=20, delta=400)
+    p = ScanConfig(z=2000, K=20, delta=400)
     samples, summary = dispersion_profile(p, grid_points=8)
     assert len(samples) == 8
     assert samples[0].t == 2000
@@ -212,17 +221,10 @@ def test_profile_grid_and_summary():
 
 
 def test_profile_seeded_grid_reproducible():
-    p = DispersionParams(z=2000, K=10, delta=300)
+    p = ScanConfig(z=2000, K=10, delta=300)
     _, s1 = dispersion_profile(p, grid_points=6, seed=5)
     _, s2 = dispersion_profile(p, grid_points=6, seed=5)
     assert s1["integral_combined"] == s2["integral_combined"]
     with pytest.raises(ValueError):
         dispersion_profile(p, t_grid=[100])  # outside [z, 2z]
 
-
-def test_profile_threads_match():
-    p = DispersionParams(z=3000, K=15, delta=500)
-    samples1, _ = dispersion_profile(p, grid_points=6, threads=1)
-    samples4, _ = dispersion_profile(p, grid_points=6, threads=4)
-    for a, b in zip(samples1, samples4):
-        assert a == b

@@ -129,14 +129,6 @@ def test_scan_with_tiny_segments_matches_default():
     assert np.array_equal(cnt_a, cnt_b)
 
 
-def test_scan_thread_count_independence():
-    kwargs = dict(t=10**5, delta=10**5, K=200, seg_size=10**4)
-    lam1, cnt1, _ = progression_sums(threads=1, **kwargs)
-    lam4, cnt4, _ = progression_sums(threads=4, **kwargs)
-    assert np.array_equal(lam1, lam4)    # bit-identical, not approximately
-    assert np.array_equal(cnt1, cnt4)
-
-
 def test_scan_degenerate_windows():
     lam, counts, _ = progression_sums(t=100, delta=0, K=5)
     assert lam.sum() == 0 and counts.sum() == 0
