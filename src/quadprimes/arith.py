@@ -4,13 +4,12 @@ Provides:
 - Kronecker symbol (Legendre/Jacobi extended to arbitrary non-negative modulus)
 - trial-division factorization, Mobius function, Euler totient
 - exact elementwise integer square roots of int64 arrays
-- prime tables and segmented sieve windows carrying Lambda
+- prime tables and segmented sieve windows carrying Lambda on odd integers
 
 Everything downstream (singular series, progression scans, dispersion terms,
 lemma checks) is built on these primitives; Lambda is only ever evaluated
-through sieve windows.  All functions are pure;
-PrimeTable and SieveWindow are immutable after construction, so concurrent
-callers may share them.
+through sieve windows.  All functions are pure; PrimeTable and SieveWindow
+are immutable after construction, so concurrent callers may share them.
 """
 
 from __future__ import annotations
@@ -169,57 +168,83 @@ def shared_prime_table(limit: int) -> PrimeTable:
 # Sieve windows
 # ---------------------------------------------------------------------------
 
+# Cells per segment of a long scan; each segment's sums are folded as one.
+SEGMENT_SIZE = 1 << 22
+LOG2 = math.log(2)
+
+
 @dataclass(frozen=True)
 class SieveWindow:
-    """Von Mangoldt data for the integer interval [lo, hi).
+    """Von Mangoldt data for [lo, hi), stored for the odd integers only.
 
-    lam[i] = Lambda(lo + i) (natural log); lo + i is prime exactly when
-    lam[i] == log(lo + i).
+    odd[j] = Lambda(o + 2j) (natural log) with o = lo | 1; an odd m is prime
+    exactly when its cell holds log(m).  An even m has Lambda(m) = log 2 if it
+    is a power of 2 (listed by `powers_of_two`) and 0 otherwise.
     """
     lo: int
     hi: int
-    lam: np.ndarray
+    odd: np.ndarray
 
-    def __len__(self) -> int:
-        return self.hi - self.lo
+    @property
+    def powers_of_two(self) -> list[int]:
+        """The powers of 2 in [lo, hi), ascending."""
+        return [1 << e for e in range((self.lo - 1).bit_length(),
+                                      (self.hi - 1).bit_length())]
+
+    @property
+    def lam(self) -> np.ndarray:
+        """lam[i] = Lambda(lo + i) for every cell, expanded afresh on each read."""
+        return self.cells(self.lo, 1)
+
+    def cells(self, start: int, step: int) -> np.ndarray:
+        """Lambda(m) for m = start, start + step, ... below hi (start >= lo)."""
+        out = np.zeros(len(range(start, self.hi, step)), dtype=np.float64)
+        first = start if start % 2 else start + step    # odd unless step is even
+        by = 1 + step % 2                               # terms per odd m
+        if first % 2:
+            j = (first - (self.lo | 1)) // 2
+            out[(first - start) // step:: by] = self.odd[j:: step * by // 2]
+        for m in self.powers_of_two:
+            if m >= start and (m - start) % step == 0:
+                out[(m - start) // step] = LOG2
+        return out
 
 
 def sieve_window(lo: int, hi: int, table: PrimeTable) -> SieveWindow:
-    """Sieve Lambda over [lo, hi).
+    """Sieve Lambda over the odd cells of [lo, hi).
 
     Requires 2 <= lo < hi and table.limit >= isqrt(hi): smaller tables would
-    miss composite witnesses and mislabel composites as prime.
-    """
+    miss composite witnesses and mislabel composites as prime.  An odd prime
+    p at least as large as the odd-cell count strikes at most one cell, so
+    all such p strike in one indexed write; only smaller p loop."""
     if not 2 <= lo < hi:
         raise ValueError("require 2 <= lo < hi")
     if hi - 1 > INT63_CAP:
         raise OverflowError("window exceeds the 2^63-1 cap")
-    root = math.isqrt(hi - 1)
     if table.limit < math.isqrt(hi):
-        raise ValueError(
-            f"prime table limit {table.limit} < isqrt({hi}); "
-            "composite witnesses would be missed"
-        )
-    size = hi - lo
-    flags = np.ones(size, dtype=bool)
+        raise ValueError(f"prime table limit {table.limit} < isqrt({hi}); "
+                         "composite witnesses would be missed")
+    o = lo | 1
+    size = max(0, (hi - o + 1) // 2)
     primes = table.primes
-    cut = int(np.searchsorted(primes, root, side="right"))
-    for p in primes[:cut]:
-        p = int(p)
-        start = max(p * p, ((lo + p - 1) // p) * p)
-        if start < hi:
-            flags[start - lo:: p] = False
-    lam = np.zeros(size, dtype=np.float64)
+    ps = primes[1: int(np.searchsorted(primes, math.isqrt(hi - 1), side="right"))]
+    pe = ps * ps
+    # first struck cell: p^2, or the j with o + 2j = 0 (mod p) if p^2 < o
+    starts = np.where(pe >= o, (pe - o) // 2, (-(o % ps) * ((ps + 1) // 2)) % ps)
+    flags = np.ones(size, dtype=bool)
+    small = int(np.searchsorted(ps, size))
+    for p, j in zip(ps[:small].tolist(), starts[:small].tolist()):
+        flags[j:: p] = False
+    once = starts[small:]
+    flags[once[once < size]] = False
+    odd = np.zeros(size, dtype=np.float64)
     idx = np.flatnonzero(flags)
-    if idx.size:
-        lam[idx] = np.log((idx + lo).astype(np.float64))
-    # Proper prime powers p^e (e >= 2) all have p <= sqrt(hi).
-    for p in primes[:cut]:
-        p = int(p)
-        lp = math.log(p)
-        pe = p * p
-        while pe < hi:
-            if pe >= lo:
-                lam[pe - lo] = lp
-            pe *= p
-    return SieveWindow(lo=lo, hi=hi, lam=lam)
+    odd[idx] = np.log((2 * idx + o).astype(np.float64))
+    # proper powers p^e (e >= 2) of odd primes, one exponent at a time
+    while ps.size:
+        hit = pe >= o
+        for p, m in zip(ps[hit].tolist(), pe[hit].tolist()):
+            odd[(m - o) // 2] = math.log(p)
+        more = pe <= (hi - 1) // ps
+        ps, pe = ps[more], pe[more] * ps[more]
+    return SieveWindow(lo=lo, hi=hi, odd=odd)

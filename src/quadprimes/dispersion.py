@@ -70,6 +70,8 @@ def dispersion_profile(config: ScanConfig, t_grid: list[int] | None = None,
     if t_grid is None:
         t_grid = sample_points(config.z, grid_points, seed)
     t_grid = sorted(int(v) for v in t_grid)
+    if not t_grid:
+        raise ValueError("t grid is empty")
     if not all(config.z <= t <= 2 * config.z for t in t_grid):
         raise ValueError("t grid must lie within [z, 2z]")
 
@@ -84,10 +86,8 @@ def dispersion_profile(config: ScanConfig, t_grid: list[int] | None = None,
     }
     for name in ("U", "V", "W", "combined"):
         vals = np.asarray([getattr(s, name) for s in samples])
-        if len(samples) > 1:
-            summary[f"integral_{name}"] = float(_trapezoid(vals, ts))
-        else:
-            summary[f"integral_{name}"] = float(vals[0] * config.z)
+        summary[f"integral_{name}"] = float(
+            _trapezoid(vals, ts) if len(samples) > 1 else vals[0] * config.z)
     mains = np.asarray([s.main_term for s in samples])
     for name in ("U", "V", "W"):
         vals = np.asarray([getattr(s, name) for s in samples])

@@ -15,8 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import (euler_phi, kronecker, mobius, shared_prime_table,
-                    sieve_window)
+from .arith import (SEGMENT_SIZE, euler_phi, kronecker, mobius,
+                    shared_prime_table, sieve_window)
 from .characters import build_character_group, primitive_characters
 from .singular import CONSTANT_TRUNCATION, main_term_constant
 
@@ -204,14 +204,13 @@ def short_ap_check(t: int, delta: int, l: int, a: int,
         raise ValueError("require t >= 3 and delta >= 1")
     table = shared_prime_table(max(2, math.isqrt(t + delta) + 1))
     observed = 0.0
-    seg = 1 << 22
     lo = t + 1
     while lo <= t + delta:
-        hi = min(lo + seg, t + delta + 1)
+        hi = min(lo + SEGMENT_SIZE, t + delta + 1)
         win = sieve_window(lo, hi, table)
         first = lo + (a - lo) % l
         if first < hi:
-            observed += float(win.lam[first - lo:: l].sum())
+            observed += float(win.cells(first, l).sum())
         lo = hi
     reference = delta / euler_phi(l)
     params = {"t": t, "delta": delta, "l": l, "a": a, "tol": tol}

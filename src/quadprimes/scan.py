@@ -20,11 +20,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .arith import (INT63_CAP, PrimeTable, isqrt_array, shared_prime_table,
-                    sieve_window)
+from .arith import (INT63_CAP, LOG2, SEGMENT_SIZE, PrimeTable, isqrt_array,
+                    shared_prime_table, sieve_window)
 from .singular import DEFAULT_TRUNCATION, cached_singular_values
-
-SEGMENT_SIZE = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -92,40 +90,46 @@ def _segment_jobs(t: int, delta: int, K: int, seg_size: int):
         seg_hi = min(seg_lo + seg_size, top + 1)
         na = max(n_lo, math.isqrt(max(seg_lo - K, 1)))
         nb = min(n_hi, math.isqrt(seg_hi - 2))
-        has_work = False
-        for n in range(na, nb + 1):
-            if max(t + 1, n * n + 1, seg_lo) <= min(top, n * n + K, seg_hi - 1):
-                has_work = True
-                break
-        if has_work:
+        if any(max(t + 1, n * n + 1, seg_lo) <= min(top, n * n + K, seg_hi - 1)
+               for n in range(na, nb + 1)):
             jobs.append((seg_lo, seg_hi, na, nb))
             seg_lo = seg_hi
         else:
             # inside a gap between consecutive n-windows: jump to the next one
-            nxt = None
-            for n in range(na, n_hi + 1):
-                lo_n = max(t + 1, n * n + 1)
-                if lo_n >= seg_lo and lo_n <= top:
-                    nxt = lo_n
-                    break
-            if nxt is None:
-                break
-            seg_lo = nxt
+            starts = (max(t + 1, n * n + 1) for n in range(na, n_hi + 1))
+            seg_lo = next((s for s in starts if seg_lo <= s <= top), top + 1)
     return jobs
 
 
+# Cells per sieve window in a segment.  glibc serves a block under 32 MiB from
+# its resident heap once one that size was freed: 4M-cell windows left ~15 MB.
+SIEVE_CELLS = 1 << 20
+
+
 def _scan_segment(job, t: int, delta: int, K: int, table: PrimeTable) -> np.ndarray:
+    """Per-k Lambda sums of one segment, sieved SIEVE_CELLS cells at a time.
+
+    For each n, the odd m = n^2 + k in [a, b] add their cells and each power
+    of 2 there adds log 2.  For a fixed k, m grows with n, so every k takes
+    its terms in ascending n, just as from one window over the segment."""
     seg_lo, seg_hi, na, nb = job
-    win = sieve_window(seg_lo, seg_hi, table)
     acc = np.zeros(K, dtype=np.float64)
     top = t + delta
-    for n in range(na, nb + 1):
-        nn = n * n
-        a = max(t + 1, nn + 1, seg_lo)
-        b = min(top, nn + K, seg_hi - 1)
-        if a > b:
-            continue
-        acc[a - nn - 1: b - nn] += win.lam[a - seg_lo: b - seg_lo + 1]
+    for lo in range(seg_lo, seg_hi, SIEVE_CELLS):
+        hi = min(lo + SIEVE_CELLS, seg_hi)
+        win = sieve_window(lo, hi, table)
+        odd, o, twos = win.odd, lo | 1, win.powers_of_two
+        for n in range(na, nb + 1):
+            nn = n * n
+            a = max(t + 1, nn + 1, lo)
+            b = min(top, nn + K, hi - 1)
+            if a > b:
+                continue
+            m1 = a | 1                  # the slices are empty if m1 > b
+            acc[m1 - nn - 1: b - nn: 2] += odd[(m1 - o) // 2: (b - o) // 2 + 1]
+            for m in twos:
+                if a <= m <= b:
+                    acc[m - nn - 1] += LOG2
     return acc
 
 
@@ -208,17 +212,13 @@ def theorem2_moment(config: ScanConfig, P: int = DEFAULT_TRUNCATION,
     for t in ts:
         scan = scan_all_k(replace(config, z=t), P)  # window (t, t+delta]
         inner.append(float((scan.residual * scan.residual).sum()))
-        agg["seconds"] += scan.stats["seconds"]
-        agg["segments"] += scan.stats["segments"]
-        agg["cells"] += scan.stats["cells"]
+        for key in ("seconds", "segments", "cells"):
+            agg[key] += scan.stats[key]
     inner_arr = np.asarray(inner)
     lhs = config.z * float(inner_arr.mean())
     bound = delta**2 * config.K / math.log(config.z) ** config.B
     exc = 0  # exceptional counts are a full-window notion; see full_window_moment
-    agg["t_samples"] = t_samples
-    agg["seed"] = seed
-    agg["t_points"] = ts
-    agg["inner_sums"] = inner
+    agg.update(t_samples=t_samples, seed=seed, t_points=ts, inner_sums=inner)
     agg["sampling_sd"] = (float(inner_arr.std(ddof=1)) * config.z / math.sqrt(t_samples)
                           if t_samples > 1 else 0.0)
     return MomentReport(config=config, lhs=lhs, bound=bound, ratio=lhs / bound,

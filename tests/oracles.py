@@ -10,10 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from quadprimes.arith import (INT63_CAP, euler_phi, factorize, isqrt_array,
-                              shared_prime_table, sieve_window)
+from quadprimes.arith import (INT63_CAP, PrimeTable, euler_phi, factorize,
+                              isqrt_array, shared_prime_table, sieve_window)
 from quadprimes.characters import Character, CharacterTable
-from quadprimes.scan import ScanConfig, progression_sums
+from quadprimes.scan import ScanConfig, _segment_jobs, progression_sums
 from quadprimes.singular import (DEFAULT_TRUNCATION, _odd_primes_up_to,
                                  cached_singular_values)
 
@@ -86,6 +86,56 @@ def von_mangoldt(n: int) -> float:
         return 0.0
     base, _ = perfect_power_base(n)
     return math.log(base) if is_prime(base) else 0.0
+
+
+# ---------------------------------------------------------------------------
+# full-cell sieve and the progression scan built on it
+# ---------------------------------------------------------------------------
+
+def sieve_window_full(lo: int, hi: int, table: PrimeTable) -> np.ndarray:
+    """Lambda(lo + i) for every cell of [lo, hi), sieving even cells too."""
+    root = math.isqrt(hi - 1)
+    size = hi - lo
+    flags = np.ones(size, dtype=bool)
+    primes = table.primes
+    cut = int(np.searchsorted(primes, root, side="right"))
+    for p in primes[:cut]:
+        p = int(p)
+        start = max(p * p, ((lo + p - 1) // p) * p)
+        if start < hi:
+            flags[start - lo:: p] = False
+    lam = np.zeros(size, dtype=np.float64)
+    idx = np.flatnonzero(flags)
+    if idx.size:
+        lam[idx] = np.log((idx + lo).astype(np.float64))
+    for p in primes[:cut]:
+        p = int(p)
+        lp = math.log(p)
+        pe = p * p
+        while pe < hi:
+            if pe >= lo:
+                lam[pe - lo] = lp
+            pe *= p
+    return lam
+
+
+def progression_sums_full(t: int, delta: int, K: int, table: PrimeTable,
+                          seg_size: int) -> np.ndarray:
+    """A_k for k = 1..K over (t, t+delta]: every cell of each segment of
+    _segment_jobs from sieve_window_full, scatter-added per n."""
+    lambda_sums = np.zeros(K, dtype=np.float64)
+    top = t + delta
+    for seg_lo, seg_hi, na, nb in _segment_jobs(t, delta, K, seg_size):
+        lam = sieve_window_full(seg_lo, seg_hi, table)
+        acc = np.zeros(K, dtype=np.float64)
+        for n in range(na, nb + 1):
+            nn = n * n
+            a = max(t + 1, nn + 1, seg_lo)
+            b = min(top, nn + K, seg_hi - 1)
+            if a <= b:
+                acc[a - nn - 1: b - nn] += lam[a - seg_lo: b - seg_lo + 1]
+        lambda_sums += acc
+    return lambda_sums
 
 
 # ---------------------------------------------------------------------------

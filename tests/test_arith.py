@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (_ceil_sqrt, integer_nth_root, is_prime, perfect_power_base,
-                     von_mangoldt)
+                     sieve_window_full, von_mangoldt)
 from quadprimes.arith import (INT63_CAP, euler_phi, isqrt_array, kronecker, mobius,
                               primes_up_to, shared_prime_table, sieve_window)
 
@@ -302,15 +302,15 @@ def test_sieve_window_small_example():
 
 def test_sieve_window_composite_singleton():
     win = sieve_window(100, 101, primes_up_to(11))
-    assert len(win) == 1
+    assert len(win.lam) == 1
     assert win.lam[0] == 0.0
 
 
 def test_sieve_window_invariants():
     table = shared_prime_table(1000)
     win = sieve_window(500, 1500, table)
-    assert len(win) == 1000
-    for i in range(len(win)):
+    assert len(win.lam) == 1000
+    for i in range(len(win.lam)):
         n = win.lo + i
         assert (win.lam[i] == pytest.approx(math.log(n), rel=1e-12)) == is_prime(n)
         if win.lam[i] > 0:
@@ -344,6 +344,46 @@ def test_sieve_window_matches_von_mangoldt_on_random_windows():
                                                rel=1e-12, abs=1e-15)
         total = sum(von_mangoldt(n) for n in range(lo, hi))
         assert float(win.lam.sum()) == pytest.approx(total, rel=1e-9, abs=1e-9)
+
+
+def _bit_identity_windows():
+    rng = random.Random(11)
+    random_317 = [(lo, lo + 317) for lo in (rng.randint(10**8 + 1, 2 * 10**8 - 317)
+                                            for _ in range(40))]
+    # p^2 and p^e (e >= 3) inside, at the edges and as single cells
+    powers = [(max(2, p**e - 40), p**e + 40)
+              for p, e in ((3, 2), (3, 5), (3, 13), (5, 7), (7, 6), (101, 2), (101, 3),
+                           (9973, 2), (211, 3), (3, 19))]
+    powers += [(p**e, p**e + 1) for p, e in ((3, 3), (5, 4), (10007, 2))]
+    powers += [(p**e - 5, p**e + 1) for p, e in ((7, 3), (13, 5))]
+    twos = [(2**e - 3, 2**e + 4) for e in (3, 10, 17, 27, 33)]
+    twos += [(2**e, 2**e + 1) for e in (2, 5, 30)] + [(2, 2**14)]
+    small_lo = [(lo, hi) for lo in (2, 3, 4) for hi in range(lo + 1, lo + 40)]
+    single = [(m, m + 1) for m in (5, 6, 9, 15, 25, 27, 49, 10**8 + 7, 10**8 + 8,
+                                   999_999_937, 2**31 - 1)]
+    # at most 3 odd cells, so every odd prime p >= 3 strikes at most once
+    one_shot = [(lo, lo + rng.randint(1, 6))
+                for lo in (rng.randint(10**6, 10**9) for _ in range(60))]
+    return {"random_317": random_317, "prime_powers": powers, "powers_of_two": twos,
+            "lo_2_3_4": small_lo, "single_cell": single, "one_shot": one_shot}
+
+
+@pytest.mark.parametrize("kind", sorted(_bit_identity_windows()))
+def test_sieve_window_bit_identical_to_full_cell_oracle(kind):
+    table = shared_prime_table(10**5)
+    for lo, hi in _bit_identity_windows()[kind]:
+        win = sieve_window(lo, hi, table)
+        if kind == "one_shot":
+            assert len(win.odd) <= 3
+        full = sieve_window_full(lo, hi, table)
+        assert win.lam.view(np.int64).tolist() == full.view(np.int64).tolist(), (lo, hi)
+        assert np.array_equal(win.odd.view(np.int64),
+                              full[(lo | 1) - lo:: 2].view(np.int64)), (lo, hi)
+        starts = ((lo, 2), (lo + 1, 2), (lo, 3), (lo + 1, 4), ((lo + hi) // 2, 7))
+        for start, step in starts:
+            if start < hi:
+                assert np.array_equal(win.cells(start, step).view(np.int64),
+                                      full[start - lo:: step].view(np.int64)), (lo, hi)
 
 
 def test_sieve_window_rejects_small_table():

@@ -8,6 +8,7 @@ import pytest
 
 from oracles import (MTildeParams, m_tilde, von_mangoldt, window_count,
                      window_lambda_sum)
+from quadprimes import dispersion
 from quadprimes.arith import euler_phi
 from quadprimes.dispersion import (dispersion_profile, identity_check,
                                    reference_error)
@@ -206,6 +207,16 @@ def test_profile_single_point_reduces_to_identity_check():
     got = samples[0]
     assert (got.U, got.V, got.W, got.combined) == (s.U, s.V, s.W, s.combined)
     assert summary["points"] == 1
+
+
+def test_profile_refuses_an_empty_grid(monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scanned with an empty t grid")
+
+    monkeypatch.setattr(dispersion, "identity_check", no_scan)
+    p = ScanConfig(z=1000, K=10, delta=200)
+    with pytest.raises(ValueError, match="^t grid is empty$"):
+        dispersion_profile(p, t_grid=[])
 
 
 def test_profile_grid_and_summary():

@@ -6,8 +6,8 @@ import random
 import numpy as np
 import pytest
 
-from oracles import mean_square_exact, von_mangoldt
-from quadprimes.arith import euler_phi, kronecker, mobius
+from oracles import mean_square_exact, sieve_window_full, von_mangoldt
+from quadprimes.arith import euler_phi, kronecker, mobius, shared_prime_table
 from quadprimes.lemmas import (default_grid, large_sieve_avg_check,
                                large_sieve_single_check, legendre_sum_check,
                                mean_square_check, mean_square_twisted_check, phi_average_check,
@@ -184,6 +184,20 @@ def test_short_ap_desk_scale():
     r2 = short_ap_check(t=10**6, delta=2 * 10**5, l=3, a=2)
     assert r1.passed and r2.passed
     assert r1.reference == r2.reference == pytest.approx(10**5)
+
+
+@pytest.mark.parametrize("t, delta, l, a", [
+    (10**6, 2 * 10**5, 1, 1), (10**6, 2 * 10**5, 3, 1), (10**6, 2 * 10**5, 3, 2),
+    (10**6, 2 * 10**5, 4, 3), (10**6, 2 * 10**5, 10, 7),
+    (3, 5000, 3, 1), (3, 5000, 5, 2), (10, 3, 7, 6),
+])
+def test_short_ap_observed_bit_identical_to_full_cell_sum(t, delta, l, a):
+    """One window: the sum over the progression of a full-cell sieve."""
+    lo, hi = t + 1, t + delta + 1
+    lam = sieve_window_full(lo, hi, shared_prime_table(math.isqrt(hi) + 1))
+    first = lo + (a - lo) % l
+    expected = float(lam[first - lo:: l].sum()) if first < hi else 0.0
+    assert short_ap_check(t, delta, l, a).observed.hex() == expected.hex()
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (theorem2_exact_integral, von_mangoldt, window_count,
-                     window_lambda_sum)
-from quadprimes.arith import INT63_CAP
+from oracles import (progression_sums_full, theorem2_exact_integral, von_mangoldt,
+                     window_count, window_lambda_sum)
+from quadprimes.arith import INT63_CAP, SEGMENT_SIZE, shared_prime_table
 from quadprimes.scan import (MomentReport, ScanConfig, exceptional_set,
                              full_window_moment, progression_sums, sample_points,
                              scan_all_k, theorem2_moment)
@@ -127,6 +127,22 @@ def test_scan_with_tiny_segments_matches_default():
     lam_b, cnt_b, _ = progression_sums(10**4, 10**4, 200, seg_size=257)
     assert np.array_equal(lam_a, lam_b)
     assert np.array_equal(cnt_a, cnt_b)
+
+
+@pytest.mark.parametrize("t, delta, K, seg_size", [
+    (10**4, 10**4, 200, 257),
+    (10**4, 10**4, 200, 256),
+    (0, 20000, 300, 997),        # crosses 2, 4, ..., 16384
+    (1, 5000, 64, 1024),
+    (10**6, 63096, 3982, SEGMENT_SIZE),
+    (10**7, 3 * 10**6, 3000, SEGMENT_SIZE),  # several sieve windows per segment
+    (10**7, 10**6, 2000, 99_999),
+])
+def test_progression_sums_bit_identical_to_full_cell_scan(t, delta, K, seg_size):
+    table = shared_prime_table(math.isqrt(t + delta) + 1)
+    lam, _, _ = progression_sums(t, delta, K, table, seg_size)
+    oracle = progression_sums_full(t, delta, K, table, seg_size)
+    assert lam.view(np.int64).tolist() == oracle.view(np.int64).tolist()
 
 
 def test_scan_degenerate_windows():
