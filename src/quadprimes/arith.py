@@ -168,8 +168,10 @@ def shared_prime_table(limit: int) -> PrimeTable:
 # Sieve windows
 # ---------------------------------------------------------------------------
 
-# Cells per segment of a long scan; each segment's sums are folded as one.
-SEGMENT_SIZE = 1 << 22
+# Cells per sieve window of a long scan.  glibc serves a block under 32 MiB
+# from its resident heap once one that size was freed: 4M-cell windows left
+# ~15 MB.
+SEGMENT_SIZE = 1 << 20
 LOG2 = math.log(2)
 
 

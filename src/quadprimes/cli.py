@@ -79,7 +79,7 @@ def _coerce(key: str, raw: str):
                        f"(expected {typ.__name__})") from None
 
 
-def _read_config_file(path: str | Path) -> dict:
+def _read_config_file(path: str) -> dict:
     values = {}
     try:
         text = Path(path).read_text()
@@ -98,8 +98,8 @@ def _read_config_file(path: str | Path) -> dict:
     return values
 
 
-def parse_config(args: list[str], file: str | Path | None = None) -> RunConfig:
-    """Build a RunConfig from CLI tokens and an optional config file.
+def parse_config(args: list[str]) -> RunConfig:
+    """Build a RunConfig from CLI tokens and the optional --config file.
 
     Flags override file values; unknown commands/keys, keys the command
     does not read and malformed values raise CliError with a distinct message.
@@ -118,8 +118,8 @@ def parse_config(args: list[str], file: str | Path | None = None) -> RunConfig:
             raise CliError(f"unknown key: {key}")
         flag_values[key] = _coerce(key, raw)
 
-    file_path = flag_values.pop("config", None) or file
-    merged = _read_config_file(file_path) if file_path is not None else {}
+    file_path = flag_values.pop("config", None)
+    merged = _read_config_file(file_path) if file_path else {}
     merged.update(flag_values)
 
     keys = _KEYS[command]

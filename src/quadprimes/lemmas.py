@@ -111,9 +111,7 @@ def _char_window_sums(q: int, M: int, N: int, coeffs: np.ndarray) -> np.ndarray:
     return np.abs(sums) ** 2
 
 
-def large_sieve_avg_check(Q: int, M: int, N: int,
-                          coeffs: np.ndarray | None = None,
-                          trials: int = 100, seed: int = 0,
+def large_sieve_avg_check(Q: int, M: int, N: int, trials: int = 100, seed: int = 0,
                           c0: float = 4.0) -> LemmaReport:
     """Dyadic-average large sieve: LHS over q in [Q, 2Q] weighted 1/phi(q)
     against (Q + N/Q) sum |a_n|^2; the worst ratio over the coefficient
@@ -137,13 +135,8 @@ def large_sieve_avg_check(Q: int, M: int, N: int,
         return total
 
     rng = np.random.default_rng(seed)
-    draws = []
-    if coeffs is not None:
-        draws.append(np.asarray(coeffs, dtype=np.complex128))
-    else:
-        draws.append(np.ones(N, dtype=np.complex128))
-        for _ in range(max(0, trials - 1)):
-            draws.append(np.exp(2j * np.pi * rng.random(N)))
+    draws = [np.ones(N, dtype=np.complex128)]
+    draws += [np.exp(2j * np.pi * rng.random(N)) for _ in range(trials - 1)]
     worst = (0.0, 0.0, 0.0)  # (ratio, observed, reference)
     for a in draws:
         obs = lhs(a)

@@ -6,10 +6,11 @@ For a window (t, t+delta] and every shift k <= K this computes
     c_k = count of such n (exact, via integer square roots)
 
 The scan iterates over n: the admissible m = n^2 + k form a contiguous
-integer interval of length <= K, so Lambda is evaluated on shared segmented
-sieve windows and scatter-added into per-k accumulators.  That costs
-O(cells * log log) sieve work instead of one primality test per candidate;
-the per-candidate route is the cross-check oracle in the tests.
+integer interval of length <= K, so Lambda is evaluated on sieve windows of
+at most SEGMENT_SIZE cells, taken in ascending order and skipping the gaps
+no n^2 + k lands on, and scatter-added into one per-k accumulator.  That
+costs O(cells * log log) sieve work instead of one primality test per
+candidate; the per-candidate route is the cross-check oracle in the tests.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .arith import (INT63_CAP, LOG2, SEGMENT_SIZE, PrimeTable, isqrt_array,
-                    shared_prime_table, sieve_window)
+from .arith import (INT63_CAP, LOG2, SEGMENT_SIZE, isqrt_array, shared_prime_table,
+                    sieve_window)
 from .singular import DEFAULT_TRUNCATION, cached_singular_values
 
 
@@ -77,84 +78,55 @@ class MomentReport:
     runtime_stats: dict = field(default_factory=dict)
 
 
-def _segment_jobs(t: int, delta: int, K: int, seg_size: int):
-    """Fixed-order list of (seg_lo, seg_hi, n_first, n_last) with work in them."""
-    n_lo = math.isqrt(max(t - K, 0)) + 1
-    n_hi = math.isqrt(t + delta - 1) if t + delta >= 2 else 0
-    jobs = []
-    if n_hi < n_lo or delta <= 0:
-        return jobs
-    seg_lo = max(t + 1, n_lo * n_lo + 1)
-    top = t + delta
-    while seg_lo <= top:
-        seg_hi = min(seg_lo + seg_size, top + 1)
-        na = max(n_lo, math.isqrt(max(seg_lo - K, 1)))
-        nb = min(n_hi, math.isqrt(seg_hi - 2))
-        if any(max(t + 1, n * n + 1, seg_lo) <= min(top, n * n + K, seg_hi - 1)
-               for n in range(na, nb + 1)):
-            jobs.append((seg_lo, seg_hi, na, nb))
-            seg_lo = seg_hi
-        else:
-            # inside a gap between consecutive n-windows: jump to the next one
-            starts = (max(t + 1, n * n + 1) for n in range(na, n_hi + 1))
-            seg_lo = next((s for s in starts if seg_lo <= s <= top), top + 1)
-    return jobs
+def progression_sums(t: int, delta: int, K: int):
+    """(A_k array, c_k array, stats) for the window (t, t+delta], k = 1..K.
 
-
-# Cells per sieve window in a segment.  glibc serves a block under 32 MiB from
-# its resident heap once one that size was freed: 4M-cell windows left ~15 MB.
-SIEVE_CELLS = 1 << 20
-
-
-def _scan_segment(job, t: int, delta: int, K: int, table: PrimeTable) -> np.ndarray:
-    """Per-k Lambda sums of one segment, sieved SIEVE_CELLS cells at a time.
-
-    For each n, the odd m = n^2 + k in [a, b] add their cells and each power
-    of 2 there adds log 2.  For a fixed k, m grows with n, so every k takes
-    its terms in ascending n, just as from one window over the segment."""
-    seg_lo, seg_hi, na, nb = job
-    acc = np.zeros(K, dtype=np.float64)
-    top = t + delta
-    for lo in range(seg_lo, seg_hi, SIEVE_CELLS):
-        hi = min(lo + SIEVE_CELLS, seg_hi)
-        win = sieve_window(lo, hi, table)
-        odd, o, twos = win.odd, lo | 1, win.powers_of_two
-        for n in range(na, nb + 1):
-            nn = n * n
-            a = max(t + 1, nn + 1, lo)
-            b = min(top, nn + K, hi - 1)
-            if a > b:
-                continue
-            m1 = a | 1                  # the slices are empty if m1 > b
-            acc[m1 - nn - 1: b - nn: 2] += odd[(m1 - o) // 2: (b - o) // 2 + 1]
-            for m in twos:
-                if a <= m <= b:
-                    acc[m - nn - 1] += LOG2
-    return acc
-
-
-def progression_sums(t: int, delta: int, K: int, table: PrimeTable | None = None,
-                     seg_size: int = SEGMENT_SIZE):
-    """(A_k array, c_k array, stats) for the window (t, t+delta], k = 1..K."""
+    The window is sieved SEGMENT_SIZE cells at a time, each sieve window
+    starting at the first cell at or after the previous one's end that some
+    n^2 + k lands on.  For each n, the odd m = n^2 + k in [a, b] add their
+    cells and each power of 2 there adds log 2.  For a fixed k, m grows with
+    n, so every A_k is the plain sum of its terms in ascending n."""
     if t < 0 or delta < 0 or K < 1:
         raise ValueError("require t >= 0, delta >= 0, K >= 1")
     if t + delta + K >= INT63_CAP:
         raise OverflowError("window top exceeds the 2^63-1 cap")
     started = time.perf_counter()
-    if table is None and delta > 0:
-        table = shared_prime_table(max(2, math.isqrt(t + delta) + 1))
-    jobs = _segment_jobs(t, delta, K, seg_size)
+    top = t + delta
+    table = shared_prime_table(max(2, math.isqrt(top) + 1)) if delta else None
     lambda_sums = np.zeros(K, dtype=np.float64)
-    for job in jobs:
-        lambda_sums += _scan_segment(job, t, delta, K, table)
+    windows = cells = 0
+    lo = t + 1
+    while True:
+        s = math.isqrt(lo - 1)
+        if s < 1 or lo - s * s > K:     # lo lies in a gap: go to (s+1)^2 + 1
+            lo = (s + 1) ** 2 + 1
+        if lo > top:
+            break
+        hi = min(lo + SEGMENT_SIZE, top + 1)
+        win = sieve_window(lo, hi, table)
+        odd, o, twos = win.odd, lo | 1, win.powers_of_two
+        for n in range(math.isqrt(max(lo - K, 1)), math.isqrt(hi - 2) + 1):
+            nn = n * n
+            a = max(nn + 1, lo)
+            b = min(nn + K, hi - 1)
+            if a > b:
+                continue
+            m1 = a | 1                  # the slices are empty if m1 > b
+            lambda_sums[m1 - nn - 1: b - nn: 2] += odd[(m1 - o) // 2: (b - o) // 2 + 1]
+            for m in twos:
+                if a <= m <= b:
+                    lambda_sums[m - nn - 1] += LOG2
+        windows += 1
+        cells += hi - lo
+        lo = hi
     ks = np.arange(1, K + 1, dtype=np.int64)
     top = np.maximum(t + delta - ks, 0)
     bot = np.maximum(t - ks, 0)
     counts = isqrt_array(top) - isqrt_array(bot)
     stats = {
         "seconds": time.perf_counter() - started,
-        "segments": len(jobs),
-        "cells": int(sum(hi - lo for lo, hi, _, _ in jobs)),
+        "segments": windows,
+        "cells": cells,
     }
     return lambda_sums, counts, stats
 

@@ -10,10 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from quadprimes import ScanConfig   # the parameter record only; no scan routine
 from quadprimes.arith import (INT63_CAP, PrimeTable, euler_phi, factorize,
                               isqrt_array, shared_prime_table, sieve_window)
 from quadprimes.characters import Character, CharacterTable
-from quadprimes.scan import ScanConfig, _segment_jobs, progression_sums
 from quadprimes.singular import (DEFAULT_TRUNCATION, _odd_primes_up_to,
                                  cached_singular_values)
 
@@ -24,6 +24,7 @@ from quadprimes.singular import (DEFAULT_TRUNCATION, _odd_primes_up_to,
 # Deterministic Miller-Rabin witnesses; this set is correct for every
 # n < 3.317e24, which covers the full 64-bit range used here.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = tuple(p for p in range(2, 200) if all(p % d for d in range(2, p)))
 
 
 def integer_nth_root(n: int, e: int) -> int:
@@ -84,6 +85,11 @@ def von_mangoldt(n: int) -> float:
     """Lambda(n): log p if n = p^e for a prime p, else 0."""
     if n < 2:
         return 0.0
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            while n % p == 0:
+                n //= p
+            return math.log(p) if n == 1 else 0.0
     base, _ = perfect_power_base(n)
     return math.log(base) if is_prime(base) else 0.0
 
@@ -119,22 +125,17 @@ def sieve_window_full(lo: int, hi: int, table: PrimeTable) -> np.ndarray:
     return lam
 
 
-def progression_sums_full(t: int, delta: int, K: int, table: PrimeTable,
-                          seg_size: int) -> np.ndarray:
-    """A_k for k = 1..K over (t, t+delta]: every cell of each segment of
-    _segment_jobs from sieve_window_full, scatter-added per n."""
+def progression_sums_full(t: int, delta: int, K: int, table: PrimeTable) -> np.ndarray:
+    """A_k for k = 1..K over (t, t+delta]: one full-cell sieve of the whole
+    window, each n's cells added in ascending n into one accumulator."""
     lambda_sums = np.zeros(K, dtype=np.float64)
     top = t + delta
-    for seg_lo, seg_hi, na, nb in _segment_jobs(t, delta, K, seg_size):
-        lam = sieve_window_full(seg_lo, seg_hi, table)
-        acc = np.zeros(K, dtype=np.float64)
-        for n in range(na, nb + 1):
-            nn = n * n
-            a = max(t + 1, nn + 1, seg_lo)
-            b = min(top, nn + K, seg_hi - 1)
-            if a <= b:
-                acc[a - nn - 1: b - nn] += lam[a - seg_lo: b - seg_lo + 1]
-        lambda_sums += acc
+    lam = sieve_window_full(t + 1, top + 1, table)
+    for n in range(1, math.isqrt(max(top - 1, 0)) + 1):
+        nn = n * n
+        a, b = max(t + 1, nn + 1), min(top, nn + K)
+        if a <= b:
+            lambda_sums[a - nn - 1: b - nn] += lam[a - t - 1: b - t]
     return lambda_sums
 
 
@@ -292,8 +293,9 @@ def theorem2_exact_integral(config: ScanConfig, P: int = DEFAULT_TRUNCATION,
     table = shared_prime_table(max(2, math.isqrt(2 * z + delta) + 1))
     lam_all = sieve_window(z + 1, 2 * z + delta + 1, table).lam
     sing = cached_singular_values(K, P)
-    lam, counts, _ = progression_sums(z, delta, K, table=table)
-    counts = counts.astype(np.float64)
+    lam = progression_sums_full(z, delta, K, table)
+    counts = np.array([window_count(k, z, delta) for k in range(1, K + 1)],
+                      dtype=np.float64)
     total = 0.0
     for t in range(z, 2 * z):
         resid = lam - sing * counts

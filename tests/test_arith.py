@@ -338,12 +338,11 @@ def test_sieve_window_matches_von_mangoldt_on_random_windows():
     for _ in range(300):
         lo = rng.randint(2, 10**9)
         hi = lo + rng.randint(1, 1500)
-        win = sieve_window(lo, hi, table)
+        lam = sieve_window(lo, hi, table).lam
         for i in rng.sample(range(hi - lo), min(20, hi - lo)):
-            assert win.lam[i] == pytest.approx(von_mangoldt(lo + i),
-                                               rel=1e-12, abs=1e-15)
+            assert lam[i] == pytest.approx(von_mangoldt(lo + i), rel=1e-12, abs=1e-15)
         total = sum(von_mangoldt(n) for n in range(lo, hi))
-        assert float(win.lam.sum()) == pytest.approx(total, rel=1e-9, abs=1e-9)
+        assert float(lam.sum()) == pytest.approx(total, rel=1e-9, abs=1e-9)
 
 
 def _bit_identity_windows():

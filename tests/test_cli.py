@@ -80,8 +80,6 @@ def test_config_file_and_flag_precedence(tmp_path):
     cfg = parse_config(["moment1", f"--config={cfg_file}", "--z=10000000"])
     assert cfg.parameters["z"] == 10**7   # flag wins
     assert cfg.parameters["K"] == 50      # file value survives
-    cfg2 = parse_config(["moment1", "--z=10000000"], file=cfg_file)
-    assert cfg2.parameters["z"] == 10**7 and cfg2.parameters["K"] == 50
 
 
 def test_config_file_errors(tmp_path):

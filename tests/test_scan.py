@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import quadprimes.scan
 from oracles import (progression_sums_full, theorem2_exact_integral, von_mangoldt,
                      window_count, window_lambda_sum)
 from quadprimes.arith import INT63_CAP, SEGMENT_SIZE, shared_prime_table
@@ -122,9 +123,10 @@ def test_scan_partial_window():
                                            rel=1e-9, abs=1e-9)
 
 
-def test_scan_with_tiny_segments_matches_default():
+def test_scan_with_tiny_segments_matches_default(monkeypatch):
     lam_a, cnt_a, _ = progression_sums(10**4, 10**4, 200)
-    lam_b, cnt_b, _ = progression_sums(10**4, 10**4, 200, seg_size=257)
+    monkeypatch.setattr(quadprimes.scan, "SEGMENT_SIZE", 257)
+    lam_b, cnt_b, _ = progression_sums(10**4, 10**4, 200)
     assert np.array_equal(lam_a, lam_b)
     assert np.array_equal(cnt_a, cnt_b)
 
@@ -134,15 +136,28 @@ def test_scan_with_tiny_segments_matches_default():
     (10**4, 10**4, 200, 256),
     (0, 20000, 300, 997),        # crosses 2, 4, ..., 16384
     (1, 5000, 64, 1024),
-    (10**6, 63096, 3982, SEGMENT_SIZE),
-    (10**7, 3 * 10**6, 3000, SEGMENT_SIZE),  # several sieve windows per segment
+    (10**6, 63096, 3982, 1 << 22),
+    (10**7, 3 * 10**6, 3000, 1 << 22),
+    (10**7, 3 * 10**6, 3000, SEGMENT_SIZE),  # three sieve windows
     (10**7, 10**6, 2000, 99_999),
+    (10**6, 10**5, 50, 257),     # the gaps between n-windows outgrow a window
 ])
-def test_progression_sums_bit_identical_to_full_cell_scan(t, delta, K, seg_size):
+def test_progression_sums_bit_identical_to_full_cell_scan(monkeypatch, t, delta, K,
+                                                          seg_size):
+    monkeypatch.setattr(quadprimes.scan, "SEGMENT_SIZE", seg_size)
+    lam, _, _ = progression_sums(t, delta, K)
     table = shared_prime_table(math.isqrt(t + delta) + 1)
-    lam, _, _ = progression_sums(t, delta, K, table, seg_size)
-    oracle = progression_sums_full(t, delta, K, table, seg_size)
+    oracle = progression_sums_full(t, delta, K, table)
     assert lam.view(np.int64).tolist() == oracle.view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("t, delta, K", [(10**6, 10**5, 50), (10**4, 10**4, 200)])
+def test_scan_sieves_only_cells_some_n2_plus_k_lands_on(monkeypatch, t, delta, K):
+    monkeypatch.setattr(quadprimes.scan, "SEGMENT_SIZE", 1)
+    _, _, stats = progression_sums(t, delta, K)
+    landed = {n * n + k for n in range(1, math.isqrt(t + delta) + 1)
+              for k in range(1, K + 1)}
+    assert stats["cells"] == sum(t < m <= t + delta for m in landed)
 
 
 def test_scan_degenerate_windows():
