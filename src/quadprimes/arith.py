@@ -8,14 +8,12 @@ Provides:
 
 Everything downstream (singular series, progression scans, dispersion terms,
 lemma checks) is built on these primitives; Lambda is only ever evaluated
-through sieve windows.  All functions are pure; PrimeTable and SieveWindow
-are immutable after construction, so concurrent callers may share them.
+through sieve windows.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,20 +146,18 @@ def primes_up_to(limit: int) -> PrimeTable:
     return PrimeTable(limit=limit, primes=np.flatnonzero(flags).astype(np.int64))
 
 
-_cache_lock = threading.Lock()
 _cached_table: PrimeTable | None = None
 
 
 def shared_prime_table(limit: int) -> PrimeTable:
     """Process-wide prime table, grown by doubling and reused across calls."""
     global _cached_table
-    with _cache_lock:
-        if _cached_table is None or _cached_table.limit < limit:
-            grow = max(limit, 1 << 16)
-            if _cached_table is not None:
-                grow = max(grow, 2 * _cached_table.limit)
-            _cached_table = primes_up_to(grow)
-        return _cached_table
+    if _cached_table is None or _cached_table.limit < limit:
+        grow = max(limit, 1 << 16)
+        if _cached_table is not None:
+            grow = max(grow, 2 * _cached_table.limit)
+        _cached_table = primes_up_to(grow)
+    return _cached_table
 
 
 # ---------------------------------------------------------------------------

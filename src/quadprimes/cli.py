@@ -4,8 +4,10 @@ Commands: scan, moment1, moment2, dispersion, lemmas, singular, constant.
 Parameters come from --key=value flags and/or a
 plain-text config file of `key = value` lines (# comments); flags override
 file values.  Every run writes results.csv and summary.json (full effective
-config echo, a git-style content hash of the CSV, timings) into the output
-directory, so a run is reproducible from its summary alone.
+config echo, the row count, a git-style content hash of the CSV's bytes as
+read back from disk, timings with the process's peak RSS) into the output
+directory, so a run is reproducible from its summary alone.  The CSV is
+written in blocks of rows, so the output path holds one block at a time.
 
 Exit codes: 0 success, 2 when a computed check reports pass=false,
 1 for any error (unknown command/key, malformed or out-of-range value,
@@ -18,7 +20,9 @@ import hashlib
 import json
 import sys
 import time
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 from .dispersion import dispersion_profile
@@ -135,27 +139,50 @@ def parse_config(args: list[str]) -> RunConfig:
     return RunConfig(command=command, parameters=merged, output_dir=Path(out))
 
 
-def _content_hash(data: bytes) -> str:
-    """Git blob-style SHA1 of the file contents."""
-    h = hashlib.sha1()
-    h.update(b"blob %d\0" % len(data))
-    h.update(data)
+# Rows per string handed to the file, and bytes per read when hashing it
+# back: the output path holds one block, not the whole CSV.
+_BLOCK_ROWS = 1024
+_HASH_CHUNK = 1 << 18
+
+
+def _content_hash(path: Path) -> str:
+    """Git blob-style SHA1 of the file's bytes on disk."""
+    h = hashlib.sha1(b"blob %d\0" % path.stat().st_size)
+    buf = bytearray(_HASH_CHUNK)
+    with path.open("rb") as fh:
+        while n := fh.readinto(buf):
+            h.update(memoryview(buf)[:n])
     return h.hexdigest()
 
 
-def _write_outputs(config: RunConfig, header: str, rows: list[str],
+def _peak_rss_mb() -> float | None:
+    """This process's high-water RSS (VmHWM) in MiB, or None if unreadable."""
+    try:
+        with open("/proc/self/status") as fh:
+            return next(int(ln.split()[1]) / 1024 for ln in fh if ln.startswith("VmHWM:"))
+    except (OSError, StopIteration):
+        return None
+
+
+def _write_outputs(config: RunConfig, header: str, rows: Iterable[str],
                    extra: dict, started: float) -> None:
     config.output_dir.mkdir(parents=True, exist_ok=True)
-    csv_text = header + "\n" + "".join(r + "\n" for r in rows)
     csv_path = config.output_dir / "results.csv"
-    csv_path.write_text(csv_text)
+    count = 0
+    rows = iter(rows)
+    with csv_path.open("w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        while block := list(islice(rows, _BLOCK_ROWS)):
+            fh.write("\n".join(block) + "\n")
+            count += len(block)
     summary = {
         "command": config.command,
         "parameters": {k: v for k, v in sorted(config.parameters.items())},
         "output_dir": str(config.output_dir),
-        "rows": len(rows),
-        "content_hash": _content_hash(csv_text.encode()),
-        "timings": {"wall_seconds": time.perf_counter() - started},
+        "rows": count,
+        "content_hash": _content_hash(csv_path),
+        "timings": {"wall_seconds": time.perf_counter() - started,
+                    "peak_rss_mb": _peak_rss_mb()},
     }
     if config.command not in ("lemmas", "constant"):    # the others compute S(k)
         summary["health"] = {
@@ -168,11 +195,13 @@ def _write_outputs(config: RunConfig, header: str, rows: list[str],
 _SCAN_HEADER = "k,lambda_sum,count,singular,residual"
 
 
-def _row_lines(scan: ScanColumns) -> list[str]:
-    columns = zip(scan.lambda_sum.tolist(), scan.count.tolist(),
-                  scan.singular.tolist(), scan.residual.tolist())
-    return [f"{k},{lam!r},{count},{sing!r},{resid!r}"
-            for k, (lam, count, sing, resid) in enumerate(columns, 1)]
+def _row_lines(scan: ScanColumns) -> Iterator[str]:
+    for lo in range(0, scan.lambda_sum.size, _BLOCK_ROWS):
+        part = slice(lo, lo + _BLOCK_ROWS)
+        columns = zip(scan.lambda_sum[part].tolist(), scan.count[part].tolist(),
+                      scan.singular[part].tolist(), scan.residual[part].tolist())
+        for k, (lam, count, sing, resid) in enumerate(columns, lo + 1):
+            yield f"{k},{lam!r},{count},{sing!r},{resid!r}"
 
 
 def _report_dict(report: MomentReport) -> dict:
@@ -259,7 +288,9 @@ def _run_singular(config: RunConfig, started: float) -> int:
     p = config.parameters
     K, P = p["K"], p["P"]
     values = batch_singular_values(K, P)
-    rows = [f"{k},{P},{value!r}" for k, value in enumerate(values.tolist(), 1)]
+    rows = (f"{k},{P},{value!r}"
+            for lo in range(0, K, _BLOCK_ROWS)
+            for k, value in enumerate(values[lo:lo + _BLOCK_ROWS].tolist(), lo + 1))
     _write_outputs(config, "k,P,value", rows, {}, started)
     return 0
 

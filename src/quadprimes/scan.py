@@ -8,7 +8,7 @@ For a window (t, t+delta] and every shift k <= K this computes
 The scan iterates over n: the admissible m = n^2 + k form a contiguous
 integer interval of length <= K, so Lambda is evaluated on sieve windows of
 at most SEGMENT_SIZE cells, taken in ascending order and skipping the gaps
-no n^2 + k lands on, and scatter-added into one per-k accumulator.  That
+no n^2 + k lands on, and scatter-added into per-k accumulators.  That
 costs O(cells * log log) sieve work instead of one primality test per
 candidate; the per-candidate route is the cross-check oracle in the tests.
 """
@@ -84,8 +84,9 @@ def progression_sums(t: int, delta: int, K: int):
     The window is sieved SEGMENT_SIZE cells at a time, each sieve window
     starting at the first cell at or after the previous one's end that some
     n^2 + k lands on.  For each n, the odd m = n^2 + k in [a, b] add their
-    cells and each power of 2 there adds log 2.  For a fixed k, m grows with
-    n, so every A_k is the plain sum of its terms in ascending n."""
+    cells as one contiguous slice of the accumulator for k's parity, and each
+    power of 2 there adds log 2.  For a fixed k, m grows with n, so every A_k
+    is the plain sum of its terms in ascending n."""
     if t < 0 or delta < 0 or K < 1:
         raise ValueError("require t >= 0, delta >= 0, K >= 1")
     if t + delta + K >= INT63_CAP:
@@ -93,7 +94,9 @@ def progression_sums(t: int, delta: int, K: int):
     started = time.perf_counter()
     top = t + delta
     table = shared_prime_table(max(2, math.isqrt(top) + 1)) if delta else None
-    lambda_sums = np.zeros(K, dtype=np.float64)
+    # An even n lands odd m only on odd k, an odd n only on even k, so each
+    # parity of k gets its own contiguous accumulator: k sits at (k-1)//2.
+    by_parity = (np.zeros((K + 1) // 2), np.zeros(K // 2))
     windows = cells = 0
     lo = t + 1
     while True:
@@ -112,13 +115,19 @@ def progression_sums(t: int, delta: int, K: int):
             if a > b:
                 continue
             m1 = a | 1                  # the slices are empty if m1 > b
-            lambda_sums[m1 - nn - 1: b - nn: 2] += odd[(m1 - o) // 2: (b - o) // 2 + 1]
+            j0, j1 = (m1 - o) // 2, (b - o) // 2 + 1
+            i0 = (m1 - nn - 1) // 2
+            by_parity[n & 1][i0: i0 + j1 - j0] += odd[j0:j1]
             for m in twos:
                 if a <= m <= b:
-                    lambda_sums[m - nn - 1] += LOG2
+                    k = m - nn
+                    by_parity[1 - (k & 1)][(k - 1) // 2] += LOG2
         windows += 1
         cells += hi - lo
         lo = hi
+        del win, odd                    # free this window before sieving the next
+    lambda_sums = np.empty(K)
+    lambda_sums[0::2], lambda_sums[1::2] = by_parity
     ks = np.arange(1, K + 1, dtype=np.int64)
     top = np.maximum(t + delta - ks, 0)
     bot = np.maximum(t - ks, 0)

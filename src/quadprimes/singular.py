@@ -23,7 +23,6 @@ Also computes the main-term constant prod_{p>2} (1 + 1/(p(p-1))).
 from __future__ import annotations
 
 import math
-import threading
 
 import numpy as np
 
@@ -176,19 +175,16 @@ def singular_error_bound(P: int) -> float:
 
 # Prefix cache: values for k <= K are independent of K, so one big batch per
 # truncation P serves every smaller request by slicing.
-_batch_lock = threading.Lock()
 _batch_cache: dict[int, np.ndarray] = {}
 
 
 def cached_singular_values(K: int, P: int) -> np.ndarray:
-    with _batch_lock:
-        have = _batch_cache.get(P)
-        if have is None or have.size < K:
-            _batch_cache[P] = batch_singular_values(max(K, 128), P)
-        return _batch_cache[P][:K].copy()
+    have = _batch_cache.get(P)
+    if have is None or have.size < K:
+        _batch_cache[P] = batch_singular_values(max(K, 128), P)
+    return _batch_cache[P][:K].copy()
 
 
-_const_lock = threading.Lock()
 _const_cache: dict[int, float] = {}
 
 
@@ -200,8 +196,7 @@ def main_term_constant(P: int = CONSTANT_TRUNCATION) -> float:
     """
     if P < 3:
         raise ValueError("P must be >= 3")
-    with _const_lock:
-        if P not in _const_cache:
-            p = _odd_primes_up_to(P).astype(np.float64)
-            _const_cache[P] = math.exp(float(np.log1p(1.0 / (p * (p - 1.0))).sum()))
-        return _const_cache[P]
+    if P not in _const_cache:
+        p = _odd_primes_up_to(P).astype(np.float64)
+        _const_cache[P] = math.exp(float(np.log1p(1.0 / (p * (p - 1.0))).sum()))
+    return _const_cache[P]

@@ -1,7 +1,9 @@
 """Tests for the command-line runner: parsing, outputs, exit codes."""
 
+import hashlib
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -225,6 +227,66 @@ def test_health_reports_the_singular_error_bound(tmp_path):
         P = summary["parameters"]["P"]
         assert summary["health"] == {"singular_error_bound": singular_error_bound(P)}
         assert "error_bound" not in (out / "results.csv").read_text()
+
+
+_SMALL_RUNS = {
+    "scan": ["--z=1000", "--K=20"],
+    "moment1": ["--z=1000", "--K=20"],
+    "moment2": ["--z=1000", "--K=20", "--delta=300", "--t_samples=9"],
+    "dispersion": ["--z=1000", "--K=20", "--delta=300", "--grid=9"],
+    "lemmas": [],
+    "singular": ["--K=3000", "--P=100"],
+    "constant": ["--P=1000"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SMALL_RUNS))
+def test_content_hash_and_rows_describe_the_file_on_disk(tmp_path, monkeypatch, command):
+    # default blocks, then blocks of 7 rows hashed back 1000 bytes at a time
+    for out, block_rows, chunk in ((tmp_path / "a", cli._BLOCK_ROWS, cli._HASH_CHUNK),
+                                   (tmp_path / "b", 7, 1000)):
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(cli, "_HASH_CHUNK", chunk)
+        assert main([command, *_SMALL_RUNS[command], f"--out={out}"]) == 0
+        data = (out / "results.csv").read_bytes()
+        summary = json.loads((out / "summary.json").read_text())
+        blob = hashlib.sha1(b"blob %d\0" % len(data) + data).hexdigest()
+        assert summary["content_hash"] == blob
+        assert summary["rows"] == len(data.splitlines()) - 1
+    assert (tmp_path / "a" / "results.csv").read_bytes() == data
+
+
+def test_csv_writer_holds_a_block_not_the_file(tmp_path, monkeypatch):
+    write, peaks = cli._write_outputs, []
+
+    def traced(*args):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        write(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1] - before)
+
+    monkeypatch.setattr(cli, "_write_outputs", traced)
+    tracemalloc.start()
+    try:
+        assert main(["scan", "--z=1000000", "--K=50000", f"--out={tmp_path}"]) == 0
+    finally:
+        tracemalloc.stop()
+    assert peaks[0] < (tmp_path / "results.csv").stat().st_size / 4
+
+
+def test_peak_rss_is_a_timing_and_null_when_unreadable(tmp_path, monkeypatch):
+    assert main(["scan", "--z=100", "--K=5", f"--out={tmp_path}/a"]) == 0
+    timings = json.loads((tmp_path / "a" / "summary.json").read_text())["timings"]
+    assert timings["peak_rss_mb"] > 0
+
+    def unreadable(*args, **kwargs):
+        raise OSError("no status file")
+
+    monkeypatch.setattr(cli, "open", unreadable, raising=False)
+    assert main(["scan", "--z=100", "--K=5", f"--out={tmp_path}/b"]) == 0
+    summary = json.loads((tmp_path / "b" / "summary.json").read_text())
+    assert summary["timings"]["peak_rss_mb"] is None
+    assert (tmp_path / "b" / "results.csv").read_text() == GOLDEN_SCAN_Z100_K5
 
 
 def test_error_exit_code_from_main(tmp_path, capsys):
