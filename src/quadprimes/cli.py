@@ -1,13 +1,15 @@
 """Command-line orchestration.
 
 Commands: scan, moment1, moment2, dispersion, lemmas, singular, constant.
-Parameters come from --key=value flags and/or a
-plain-text config file of `key = value` lines (# comments); flags override
-file values.  Every run writes results.csv and summary.json (full effective
-config echo, the row count, a git-style content hash of the CSV's bytes as
-read back from disk, timings with the process's peak RSS) into the output
-directory, so a run is reproducible from its summary alone.  The CSV is
-written in blocks of rows, so the output path holds one block at a time.
+Parameters come from --key=value flags and/or a plain-text config file of
+`key = value` lines (# comments); flags override file values.  Each command
+returns its rows and values; run() alone writes results.csv (in blocks of
+rows) and summary.json (full effective config echo, the row count, a
+git-style content hash of the CSV's bytes as read back from disk) into the
+output directory, so a run is reproducible from its summary alone.  Only
+`timings` differs between reruns: wall_seconds, compute_seconds (until the
+library call returns) and peak RSS.  The `moment` block holds the sieve
+counters; moment2's adds sampling_sd and has exceptional_count null.
 
 Exit codes: 0 success, 2 when a computed check reports pass=false,
 1 for any error (unknown command/key, malformed or out-of-range value,
@@ -31,9 +33,6 @@ from .scan import (MomentReport, ScanColumns, ScanConfig, full_window_moment,
                    scan_all_k, theorem2_moment)
 from .singular import (DEFAULT_TRUNCATION, batch_singular_values, main_term_constant,
                        singular_error_bound)
-
-COMMANDS = ("scan", "moment1", "moment2", "dispersion", "lemmas",
-            "singular", "constant")
 
 # key -> type of its value
 _PARAM_TYPES = {
@@ -109,9 +108,9 @@ def parse_config(args: list[str]) -> RunConfig:
     does not read and malformed values raise CliError with a distinct message.
     """
     if not args:
-        raise CliError(f"missing command (one of: {', '.join(COMMANDS)})")
+        raise CliError(f"missing command (one of: {', '.join(_KEYS)})")
     command = args[0]
-    if command not in COMMANDS:
+    if command not in _KEYS:
         raise CliError(f"unknown command: {command}")
     flag_values: dict = {}
     for token in args[1:]:
@@ -165,7 +164,7 @@ def _peak_rss_mb() -> float | None:
 
 
 def _write_outputs(config: RunConfig, header: str, rows: Iterable[str],
-                   extra: dict, started: float) -> None:
+                   extra: dict, started: float, compute_seconds: float) -> None:
     config.output_dir.mkdir(parents=True, exist_ok=True)
     csv_path = config.output_dir / "results.csv"
     count = 0
@@ -182,6 +181,7 @@ def _write_outputs(config: RunConfig, header: str, rows: Iterable[str],
         "rows": count,
         "content_hash": _content_hash(csv_path),
         "timings": {"wall_seconds": time.perf_counter() - started,
+                    "compute_seconds": compute_seconds,
                     "peak_rss_mb": _peak_rss_mb()},
     }
     if config.command not in ("lemmas", "constant"):    # the others compute S(k)
@@ -210,122 +210,99 @@ def _report_dict(report: MomentReport) -> dict:
         "z": cfg.z, "K": cfg.K, "delta": cfg.delta, "B": cfg.B,
         "lhs": report.lhs, "bound": report.bound, "ratio": report.ratio,
         "exceptional_count": report.exceptional_count,
-        "runtime_stats": {k: v for k, v in report.runtime_stats.items()
-                          if k != "inner_sums"},
+        "runtime_stats": {"segments": report.segments, "cells": report.cells},
     }
 
 
-def _run_scan(config: RunConfig, started: float) -> int:
-    p = config.parameters
-    cfg = ScanConfig(z=p["z"], K=p["K"], delta=p.get("delta"))
+def _scan_config(p: dict) -> ScanConfig:
+    """The command's ScanConfig; its range warnings go to stderr."""
+    cfg = ScanConfig(**{k: p[k] for k in ("z", "K", "delta", "B") if k in p})
     for warning in cfg.range_warnings():
         print(f"warning: {warning}", file=sys.stderr)
-    scan = scan_all_k(cfg, P=p["P"])
-    _write_outputs(config, _SCAN_HEADER, _row_lines(scan), {}, started)
-    return 0
+    return cfg
 
 
-def _run_moment1(config: RunConfig, started: float) -> int:
-    p = config.parameters
-    cfg = ScanConfig(z=p["z"], K=p["K"], B=p["B"])
-    for warning in cfg.range_warnings():
-        print(f"warning: {warning}", file=sys.stderr)
-    scan, report = full_window_moment(cfg, P=p["P"])
-    _write_outputs(config, _SCAN_HEADER, _row_lines(scan),
-                   {"moment": _report_dict(report)}, started)
-    return 0
+# Each runner maps the parameters to (header, rows, extra): the CSV header,
+# its lines (any iterable, formatted as written) and the summary's own keys.
+
+def _run_scan(p: dict):
+    scan = scan_all_k(_scan_config(p), P=p["P"])
+    return _SCAN_HEADER, _row_lines(scan), {}
 
 
-def _run_moment2(config: RunConfig, started: float) -> int:
-    p = config.parameters
-    cfg = ScanConfig(z=p["z"], K=p["K"], delta=p["delta"], B=p["B"])
-    for warning in cfg.range_warnings():
-        print(f"warning: {warning}", file=sys.stderr)
-    report = theorem2_moment(cfg, P=p["P"], t_samples=p["t_samples"],
-                             seed=p.get("seed"))
-    inner = report.runtime_stats["inner_sums"]
-    ts = report.runtime_stats["t_points"]
-    rows = [f"{i},{t},{val!r}" for i, (t, val) in enumerate(zip(ts, inner))]
-    _write_outputs(config, "sample,t,inner_sum", rows,
-                   {"moment": _report_dict(report)}, started)
-    return 0
+def _run_moment1(p: dict):
+    scan, report = full_window_moment(_scan_config(p), P=p["P"])
+    return _SCAN_HEADER, _row_lines(scan), {"moment": _report_dict(report)}
 
 
-def _run_dispersion(config: RunConfig, started: float) -> int:
-    p = config.parameters
-    cfg = ScanConfig(z=p["z"], K=p["K"], delta=p["delta"], B=p["B"])
-    samples, summary = dispersion_profile(cfg, P=p["P"], grid_points=p["grid"],
-                                          seed=p.get("seed"))
+def _run_moment2(p: dict):
+    report = theorem2_moment(_scan_config(p), P=p["P"], t_samples=p["t_samples"],
+                             seed=p["seed"])
+    rows = [f"{i},{t},{val!r}" for i, (t, val) in enumerate(report.samples)]
+    return "sample,t,inner_sum", rows, {
+        "moment": {**_report_dict(report), "sampling_sd": report.sampling_sd}}
+
+
+def _run_dispersion(p: dict):
+    samples, summary = dispersion_profile(_scan_config(p), P=p["P"],
+                                          grid_points=p["grid"], seed=p["seed"])
     E = summary["E"]
     rows = [f"{s.t},{s.U!r},{s.V!r},{s.W!r},{s.combined!r},"
             f"{s.direct_square!r},{s.main_term!r},{E!r}"
             for s in samples]
-    _write_outputs(config, "t,U,V,W,combined,direct_square,main_term,E",
-                   rows, {"profile": summary}, started)
-    return 0
+    return "t,U,V,W,combined,direct_square,main_term,E", rows, {"profile": summary}
 
 
 def _params_field(params: dict) -> str:
     return ";".join(f"{k}={v}" for k, v in params.items())
 
 
-def _run_lemmas(config: RunConfig, started: float) -> int:
-    reports = default_grid(seed=config.parameters["seed"])
+def _run_lemmas(p: dict):
+    reports = default_grid(seed=p["seed"])
+    for r in reports:
+        print(f"{r.lemma_id}: {'pass' if r.passed else 'FAIL'} "
+              f"(observed={r.observed:.6g}, reference={r.reference:.6g})")
     rows = [f"{r.lemma_id},{_params_field(r.params)},{r.observed!r},"
             f"{r.reference!r},{r.ratio!r},{str(r.passed).lower()},"
             f"{'' if r.seed is None else r.seed}"
             for r in reports]
     failures = [r.lemma_id for r in reports if not r.passed]
-    _write_outputs(config, "lemma_id,params,observed,reference,ratio,pass,seed",
-                   rows, {"failures": failures}, started)
-    for r in reports:
-        print(f"{r.lemma_id}: {'pass' if r.passed else 'FAIL'} "
-              f"(observed={r.observed:.6g}, reference={r.reference:.6g})")
-    return 2 if failures else 0
+    return ("lemma_id,params,observed,reference,ratio,pass,seed", rows,
+            {"failures": failures})
 
 
-def _run_singular(config: RunConfig, started: float) -> int:
-    p = config.parameters
+def _run_singular(p: dict):
     K, P = p["K"], p["P"]
     values = batch_singular_values(K, P)
     rows = (f"{k},{P},{value!r}"
             for lo in range(0, K, _BLOCK_ROWS)
             for k, value in enumerate(values[lo:lo + _BLOCK_ROWS].tolist(), lo + 1))
-    _write_outputs(config, "k,P,value", rows, {}, started)
-    return 0
+    return "k,P,value", rows, {}
 
 
-def _run_constant(config: RunConfig, started: float) -> int:
-    P = config.parameters["P"]
-    value = main_term_constant(P)
-    _write_outputs(config, "P,value", [f"{P},{value!r}"],
-                   {"constant": value}, started)
-    print(f"main-term constant at P={P}: {value!r}")
-    return 0
+def _run_constant(p: dict):
+    value = main_term_constant(p["P"])
+    print(f"main-term constant at P={p['P']}: {value!r}")
+    return "P,value", [f"{p['P']},{value!r}"], {"constant": value}
 
 
-_RUNNERS = {
-    "scan": _run_scan,
-    "moment1": _run_moment1,
-    "moment2": _run_moment2,
-    "dispersion": _run_dispersion,
-    "lemmas": _run_lemmas,
-    "singular": _run_singular,
-    "constant": _run_constant,
-}
+_RUNNERS = {"scan": _run_scan, "moment1": _run_moment1, "moment2": _run_moment2,
+            "dispersion": _run_dispersion, "lemmas": _run_lemmas,
+            "singular": _run_singular, "constant": _run_constant}
 
 
 def run(config: RunConfig) -> int:
     """Execute the configured command; returns the process exit code."""
     started = time.perf_counter()
     try:
-        return _RUNNERS[config.command](config, started)
-    except CliError:
-        raise
+        header, rows, extra = _RUNNERS[config.command](config.parameters)
+        compute_seconds = time.perf_counter() - started
+        _write_outputs(config, header, rows, extra, started, compute_seconds)
     except OSError as exc:
         raise CliError(f"I/O failure: {exc}") from exc
     except (ValueError, OverflowError) as exc:  # the library's own range checks
         raise CliError(str(exc)) from exc
+    return 2 if extra.get("failures") else 0
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -26,6 +26,11 @@ _group = lru_cache(maxsize=512)(build_character_group)
 LEMMA_IDS = ("LS_AVG", "LS_SINGLE", "POLYA_VINOGRADOV", "MEAN_SQ",
              "MEAN_SQ_TWISTED", "SHORT_AP", "PHI_AVG", "LEGENDRE_SUM")
 
+LS_AVG_C0 = 4.0      # worst dyadic-average large-sieve ratio (params "c0")
+MEAN_SQ_C0 = 2.0     # C0, the log power of both mean-square bounds
+SHORT_AP_TOL = 0.05  # relative deviation from delta/phi(l)
+PHI_AVG_C = 5.0      # deviation from (x/2) * constant, in units of log x
+
 
 @dataclass(frozen=True)
 class LemmaReport:
@@ -70,16 +75,15 @@ def legendre_sum_check(l: int) -> LemmaReport:
                    observed == reference)
 
 
-def phi_average_check(x: int, c: float = 5.0,
-                      const_P: int = CONSTANT_TRUNCATION) -> LemmaReport:
-    """sum_{q<=x} q/phi(4q) against (x/2) * main-term constant, within c log x."""
+def phi_average_check(x: int) -> LemmaReport:
+    """sum_{q<=x} q/phi(4q) against (x/2) * constant, within PHI_AVG_C log x."""
     if x < 1:
         raise ValueError("x must be positive")
     observed = phi_average_sum(x)
-    reference = 0.5 * x * main_term_constant(const_P)
+    reference = 0.5 * x * main_term_constant(CONSTANT_TRUNCATION)
     deviation = abs(observed - reference)
-    return _report("PHI_AVG", {"x": x, "c": c}, observed, reference,
-                   deviation <= c * math.log(x))
+    return _report("PHI_AVG", {"x": x, "c": PHI_AVG_C}, observed, reference,
+                   deviation <= PHI_AVG_C * math.log(x))
 
 
 def phi_average_sum(x: int) -> float:
@@ -111,11 +115,11 @@ def _char_window_sums(q: int, M: int, N: int, coeffs: np.ndarray) -> np.ndarray:
     return np.abs(sums) ** 2
 
 
-def large_sieve_avg_check(Q: int, M: int, N: int, trials: int = 100, seed: int = 0,
-                          c0: float = 4.0) -> LemmaReport:
+def large_sieve_avg_check(Q: int, M: int, N: int, trials: int = 100,
+                          seed: int = 0) -> LemmaReport:
     """Dyadic-average large sieve: LHS over q in [Q, 2Q] weighted 1/phi(q)
     against (Q + N/Q) sum |a_n|^2; the worst ratio over the coefficient
-    draws must stay below c0 (the stated bound has an unspecified constant).
+    draws must stay below LS_AVG_C0 (the bound's constant is unspecified).
     """
     if Q < 1 or N < 1:
         raise ValueError("require Q >= 1 and N >= 1")
@@ -144,8 +148,8 @@ def large_sieve_avg_check(Q: int, M: int, N: int, trials: int = 100, seed: int =
         ratio = obs / ref if ref else 0.0
         if ratio >= worst[0]:
             worst = (ratio, obs, ref)
-    params = {"Q": Q, "M": M, "N": N, "trials": len(draws), "c0": c0}
-    return _report("LS_AVG", params, worst[1], worst[2], worst[0] <= c0, seed)
+    params = {"Q": Q, "M": M, "N": N, "trials": len(draws), "c0": LS_AVG_C0}
+    return _report("LS_AVG", params, worst[1], worst[2], worst[0] <= LS_AVG_C0, seed)
 
 
 def large_sieve_single_check(q: int, M: int, N: int,
@@ -188,8 +192,7 @@ def polya_vinogradov_check(q: int) -> LemmaReport:
 # Short-interval statistics
 # ---------------------------------------------------------------------------
 
-def short_ap_check(t: int, delta: int, l: int, a: int,
-                   tol: float = 0.05) -> LemmaReport:
+def short_ap_check(t: int, delta: int, l: int, a: int) -> LemmaReport:
     """Lambda-sum over n = a mod l in (t, t+delta] against delta/phi(l)."""
     if math.gcd(a, l) != 1:
         raise ValueError(f"require gcd(a, l) = 1, got gcd({a}, {l}) = {math.gcd(a, l)}")
@@ -206,13 +209,13 @@ def short_ap_check(t: int, delta: int, l: int, a: int,
             observed += float(win.cells(first, l).sum())
         lo = hi
     reference = delta / euler_phi(l)
-    params = {"t": t, "delta": delta, "l": l, "a": a, "tol": tol}
+    params = {"t": t, "delta": delta, "l": l, "a": a, "tol": SHORT_AP_TOL}
     return _report("SHORT_AP", params, observed, reference,
-                   abs(observed / reference - 1.0) <= tol)
+                   abs(observed / reference - 1.0) <= SHORT_AP_TOL)
 
 
 def _mean_square(lemma_id: str, square, z: int, delta_exp: float, M_frac: float,
-                 samples: int, seed: int, C0: float, extra: dict) -> LemmaReport:
+                 samples: int, seed: int, extra: dict) -> LemmaReport:
     """Monte-Carlo mean over t in (z, 2z] of square(t, M, lam), where lam is
     Lambda on (t, t+M], against delta^2 / (log z)^C0 with delta = z^delta_exp
     and M = M_frac delta; extra holds the caller's own parameters.
@@ -222,8 +225,8 @@ def _mean_square(lemma_id: str, square, z: int, delta_exp: float, M_frac: float,
     if not 0 <= M <= delta:
         raise ValueError("require 0 <= M <= delta")
     params = {"z": z, "delta_exp": delta_exp, "M_frac": M_frac, **extra,
-              "samples": samples, "C0": C0, "delta": delta, "M": M}
-    reference = delta**2 / math.log(z) ** C0
+              "samples": samples, "C0": MEAN_SQ_C0, "delta": delta, "M": M}
+    reference = delta**2 / math.log(z) ** MEAN_SQ_C0
     if M == 0:
         return _report(lemma_id, params, 0.0, reference, True, seed)
     table = shared_prime_table(math.isqrt(2 * z + M) + 1)
@@ -239,22 +242,19 @@ def _mean_square(lemma_id: str, square, z: int, delta_exp: float, M_frac: float,
 
 
 def mean_square_check(z: int, delta_exp: float = 0.4, M_frac: float = 1.0,
-                      samples: int = 200, seed: int = 0,
-                      C0: float = 2.0) -> LemmaReport:
+                      samples: int = 200, seed: int = 0) -> LemmaReport:
     """Monte-Carlo mean of |psi(t+M) - psi(t) - M|^2 over t in (z, 2z]
     against delta^2 / (log z)^C0, with delta = z^delta_exp and M = M_frac delta.
     """
     def square(t, M, lam):
         return (float(lam.sum()) - M) ** 2
 
-    return _mean_square("MEAN_SQ", square, z, delta_exp, M_frac, samples, seed,
-                        C0, {})
+    return _mean_square("MEAN_SQ", square, z, delta_exp, M_frac, samples, seed, {})
 
 
 def mean_square_twisted_check(z: int, delta_exp: float = 0.4, M_frac: float = 1.0,
                               q: int = 3, chi_index: int = 1,
-                              samples: int = 200, seed: int = 0,
-                              C0: float = 2.0) -> LemmaReport:
+                              samples: int = 200, seed: int = 0) -> LemmaReport:
     """As mean_square_check but for |sum Lambda(n) chi(n)|^2 with no main
     term, for a non-principal chi mod q."""
     chi = _group(q).characters[chi_index]
@@ -266,7 +266,7 @@ def mean_square_twisted_check(z: int, delta_exp: float = 0.4, M_frac: float = 1.
         return abs(complex((lam * chivals).sum())) ** 2
 
     return _mean_square("MEAN_SQ_TWISTED", square, z, delta_exp, M_frac, samples,
-                        seed, C0, {"q": q, "chi_index": chi_index})
+                        seed, {"q": q, "chi_index": chi_index})
 
 
 def default_grid(seed: int = 0) -> list[LemmaReport]:

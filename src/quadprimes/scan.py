@@ -16,8 +16,7 @@ candidate; the per-candidate route is the cross-check oracle in the tests.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -74,8 +73,11 @@ class MomentReport:
     lhs: float
     bound: float
     ratio: float
-    exceptional_count: int
-    runtime_stats: dict = field(default_factory=dict)
+    exceptional_count: int | None   # None for the sampled moment
+    segments: int                   # sieve windows, summed over the scans
+    cells: int                      # cells sieved, summed over the scans
+    samples: list[tuple[int, float]]    # (t, inner sum) per sample point
+    sampling_sd: float | None       # standard error of the sampled lhs
 
 
 def progression_sums(t: int, delta: int, K: int):
@@ -91,7 +93,6 @@ def progression_sums(t: int, delta: int, K: int):
         raise ValueError("require t >= 0, delta >= 0, K >= 1")
     if t + delta + K >= INT63_CAP:
         raise OverflowError("window top exceeds the 2^63-1 cap")
-    started = time.perf_counter()
     top = t + delta
     table = shared_prime_table(max(2, math.isqrt(top) + 1)) if delta else None
     # An even n lands odd m only on odd k, an odd n only on even k, so each
@@ -132,12 +133,7 @@ def progression_sums(t: int, delta: int, K: int):
     top = np.maximum(t + delta - ks, 0)
     bot = np.maximum(t - ks, 0)
     counts = isqrt_array(top) - isqrt_array(bot)
-    stats = {
-        "seconds": time.perf_counter() - started,
-        "segments": windows,
-        "cells": cells,
-    }
-    return lambda_sums, counts, stats
+    return lambda_sums, counts, {"segments": windows, "cells": cells}
 
 
 def scan_all_k(config: ScanConfig, P: int = DEFAULT_TRUNCATION) -> ScanColumns:
@@ -163,7 +159,7 @@ def full_window_moment(config: ScanConfig,
     report = MomentReport(config=config, lhs=lhs, bound=bound, ratio=lhs / bound,
                           exceptional_count=exceptional_set(scan.residual, config.z,
                                                             config.B),
-                          runtime_stats=scan.stats)
+                          samples=[], sampling_sd=None, **scan.stats)
     return scan, report
 
 
@@ -186,24 +182,23 @@ def theorem2_moment(config: ScanConfig, P: int = DEFAULT_TRUNCATION,
     """
     if config.delta is None:
         raise ValueError("theorem2_moment requires delta")
-    delta = config.delta
-    ts = sample_points(config.z, t_samples, seed)
-    inner = []
-    agg = {"seconds": 0.0, "segments": 0, "cells": 0}
-    for t in ts:
+    samples = []
+    segments = cells = 0
+    for t in sample_points(config.z, t_samples, seed):
         scan = scan_all_k(replace(config, z=t), P)  # window (t, t+delta]
-        inner.append(float((scan.residual * scan.residual).sum()))
-        for key in ("seconds", "segments", "cells"):
-            agg[key] += scan.stats[key]
-    inner_arr = np.asarray(inner)
-    lhs = config.z * float(inner_arr.mean())
-    bound = delta**2 * config.K / math.log(config.z) ** config.B
-    exc = 0  # exceptional counts are a full-window notion; see full_window_moment
-    agg.update(t_samples=t_samples, seed=seed, t_points=ts, inner_sums=inner)
-    agg["sampling_sd"] = (float(inner_arr.std(ddof=1)) * config.z / math.sqrt(t_samples)
-                          if t_samples > 1 else 0.0)
+        samples.append((t, float((scan.residual * scan.residual).sum())))
+        segments += scan.stats["segments"]
+        cells += scan.stats["cells"]
+        del scan                # free this sample's columns before the next scan
+    inner = np.array([value for _, value in samples])
+    lhs = config.z * float(inner.mean())
+    bound = config.delta**2 * config.K / math.log(config.z) ** config.B
+    sd = (float(inner.std(ddof=1)) * config.z / math.sqrt(t_samples)
+          if t_samples > 1 else 0.0)
+    # exceptional counts are a full-window notion; see full_window_moment
     return MomentReport(config=config, lhs=lhs, bound=bound, ratio=lhs / bound,
-                        exceptional_count=exc, runtime_stats=agg)
+                        exceptional_count=None, segments=segments, cells=cells,
+                        samples=samples, sampling_sd=sd)
 
 
 def exceptional_set(residual: np.ndarray, z: int, B: float) -> int:

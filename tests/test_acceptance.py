@@ -114,7 +114,7 @@ def test_criterion_03_phi_average():
     assert abs(c0 - oracle) <= 1e-6
     worst = 0.0
     for x in (10**3, 10**4, 10**5, 10**6):
-        report = phi_average_check(x, c=5.0)
+        report = phi_average_check(x)
         dev = abs(report.observed - report.reference) / math.log(x)
         worst = max(worst, dev)
         assert report.passed, x

@@ -127,6 +127,8 @@ def test_moment1_reports_scan_stats_and_theorem1_values(tmp_path):
     moment = json.loads((tmp_path / "summary.json").read_text())["moment"]
     assert moment["runtime_stats"]["segments"] > 0
     assert moment["runtime_stats"]["cells"] > 0
+    assert set(moment["runtime_stats"]) == {"segments", "cells"}
+    assert "sampling_sd" not in moment
     report = full_window_moment(ScanConfig(z=20000, K=150, B=1.5))[1]
     assert moment["lhs"] == report.lhs
     assert moment["exceptional_count"] == report.exceptional_count
@@ -142,7 +144,11 @@ def test_moment2_outputs_and_seed_echo(tmp_path):
     assert len(lines) == 5
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["parameters"]["seed"] == 11
-    assert summary["moment"]["runtime_stats"]["t_samples"] == 4
+    assert summary["parameters"]["t_samples"] == 4
+    moment = summary["moment"]
+    assert set(moment["runtime_stats"]) == {"segments", "cells"}
+    assert moment["sampling_sd"] > 0
+    assert moment["exceptional_count"] is None
 
 
 def test_dispersion_zero_delta(tmp_path):
@@ -256,6 +262,19 @@ def test_content_hash_and_rows_describe_the_file_on_disk(tmp_path, monkeypatch, 
     assert (tmp_path / "a" / "results.csv").read_bytes() == data
 
 
+@pytest.mark.parametrize("command", sorted(_SMALL_RUNS))
+def test_summary_payload_is_deterministic(tmp_path, command):
+    payloads = []
+    for out in (tmp_path / "a", tmp_path / "b"):
+        assert main([command, *_SMALL_RUNS[command], f"--out={out}"]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert set(summary.pop("timings")) == {"wall_seconds", "compute_seconds",
+                                               "peak_rss_mb"}
+        del summary["output_dir"]
+        payloads.append(summary)
+    assert payloads[0] == payloads[1]
+
+
 def test_csv_writer_holds_a_block_not_the_file(tmp_path, monkeypatch):
     write, peaks = cli._write_outputs, []
 
@@ -318,4 +337,13 @@ def test_library_range_error_singular_k_zero(tmp_path, capsys):
 def test_library_range_error_dispersion_empty_grid(tmp_path, capsys):
     assert main(["dispersion", "--z=1000000", "--K=100", "--delta=1000",
                  "--grid=0", f"--out={tmp_path}"]) == 1
-    assert capsys.readouterr().err == "error: need at least one sample point\n"
+    lines = capsys.readouterr().err.splitlines()   # after the range warnings
+    assert [ln for ln in lines if not ln.startswith("warning: ")] == [
+        "error: need at least one sample point"]
+
+
+@pytest.mark.parametrize("command", ["scan", "moment1", "moment2", "dispersion"])
+def test_scan_commands_print_range_warnings(tmp_path, capsys, command):
+    assert main([command, *_SMALL_RUNS[command], f"--out={tmp_path}"]) == 0
+    assert capsys.readouterr().err.startswith(
+        "warning: K=20 outside the intended range [z^(1/2), z/2] = [32, 500]\n")

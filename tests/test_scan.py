@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -221,9 +222,25 @@ def test_theorem2_sampling_consistency():
     cfg = ScanConfig(z=2000, K=40, delta=500)
     one = theorem2_moment(cfg, t_samples=1)
     sixteen = theorem2_moment(cfg, t_samples=16)
-    assert sixteen.runtime_stats["sampling_sd"] > 0
-    assert abs(one.lhs - sixteen.lhs) <= 6 * sixteen.runtime_stats["sampling_sd"] \
-        + 0.5 * sixteen.lhs
+    assert sixteen.sampling_sd > 0
+    assert abs(one.lhs - sixteen.lhs) <= 6 * sixteen.sampling_sd + 0.5 * sixteen.lhs
+    assert [t for t, _ in sixteen.samples] == sample_points(2000, 16)
+    assert sixteen.exceptional_count is None
+
+
+def test_theorem2_peak_memory_does_not_grow_with_samples():
+    # one sample's K-length columns are freed before the next window is scanned
+    cfg = ScanConfig(z=10**6, K=20000, delta=2000)
+    theorem2_moment(cfg, t_samples=2)           # builds the cached tables
+    peaks = {}
+    for t_samples in (1, 16):
+        tracemalloc.start()
+        try:
+            theorem2_moment(cfg, t_samples=t_samples)
+            peaks[t_samples] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[16] <= 1.1 * peaks[1]
 
 
 def test_theorem2_exact_integral_matches_dense_sampling():
