@@ -8,8 +8,9 @@ rows) and summary.json (full effective config echo, the row count, a
 git-style content hash of the CSV's bytes as read back from disk) into the
 output directory, so a run is reproducible from its summary alone.  Only
 `timings` differs between reruns: wall_seconds, compute_seconds (until the
-library call returns) and peak RSS.  The `moment` block holds the sieve
-counters; moment2's adds sampling_sd and has exceptional_count null.
+library call returns) and peak RSS.  The `moment` and `profile` blocks hold
+computed values only, no copy of `parameters`; moment2's `moment` adds
+sampling_sd (null for one sample) and has exceptional_count null.
 
 Exit codes: 0 success, 2 when a computed check reports pass=false,
 1 for any error (unknown command/key, malformed or out-of-range value,
@@ -31,8 +32,8 @@ from .dispersion import dispersion_profile
 from .lemmas import default_grid
 from .scan import (MomentReport, ScanColumns, ScanConfig, full_window_moment,
                    scan_all_k, theorem2_moment)
-from .singular import (DEFAULT_TRUNCATION, batch_singular_values, main_term_constant,
-                       singular_error_bound)
+from .singular import (CONSTANT_TRUNCATION, DEFAULT_TRUNCATION, batch_singular_values,
+                       main_term_constant, singular_error_bound)
 
 # key -> type of its value
 _PARAM_TYPES = {
@@ -54,7 +55,7 @@ _KEYS = {
                    "P": DEFAULT_TRUNCATION, "grid": 64, "seed": None},
     "lemmas": {"seed": 0},
     "singular": {"K": _REQUIRED, "P": DEFAULT_TRUNCATION},
-    "constant": {"P": 10**6},
+    "constant": {"P": CONSTANT_TRUNCATION},
 }
 
 
@@ -205,13 +206,9 @@ def _row_lines(scan: ScanColumns) -> Iterator[str]:
 
 
 def _report_dict(report: MomentReport) -> dict:
-    cfg = report.config
-    return {
-        "z": cfg.z, "K": cfg.K, "delta": cfg.delta, "B": cfg.B,
-        "lhs": report.lhs, "bound": report.bound, "ratio": report.ratio,
-        "exceptional_count": report.exceptional_count,
-        "runtime_stats": {"segments": report.segments, "cells": report.cells},
-    }
+    return {"lhs": report.lhs, "bound": report.bound, "ratio": report.ratio,
+            "exceptional_count": report.exceptional_count,
+            "runtime_stats": {"segments": report.segments, "cells": report.cells}}
 
 
 def _scan_config(p: dict) -> ScanConfig:

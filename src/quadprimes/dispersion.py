@@ -58,32 +58,21 @@ def identity_check(config: ScanConfig, t: int,
                             direct_square=direct, main_term=main)
 
 
-def dispersion_profile(config: ScanConfig, t_grid: list[int] | None = None,
-                       P: int = DEFAULT_TRUNCATION, grid_points: int = 64,
-                       seed: int | None = None):
-    """Sample U, V, W, the identity and the main term over a t-grid.
+def dispersion_profile(config: ScanConfig, P: int = DEFAULT_TRUNCATION,
+                       grid_points: int = 64, seed: int | None = None):
+    """Sample U, V, W, the identity and the main term at the sorted
+    sample_points(z, grid_points, seed).
 
     Returns (samples, summary): trapezoid estimates of the three integrals
     and of the combined term over [z, 2z], plus each term's deviation from
     the shared main term measured in units of E.
     """
-    if t_grid is None:
-        t_grid = sample_points(config.z, grid_points, seed)
-    t_grid = sorted(int(v) for v in t_grid)
-    if not t_grid:
-        raise ValueError("t grid is empty")
-    if not all(config.z <= t <= 2 * config.z for t in t_grid):
-        raise ValueError("t grid must lie within [z, 2z]")
-
-    samples = [identity_check(config, t, P) for t in t_grid]
+    samples = [identity_check(config, t, P)
+               for t in sorted(sample_points(config.z, grid_points, seed))]
     E = reference_error(config)
 
     ts = np.asarray([s.t for s in samples], dtype=np.float64)
-    summary: dict = {
-        "z": config.z, "K": config.K, "delta": config.delta,
-        "B": config.B, "E": E,
-        "points": len(samples), "seed": seed,
-    }
+    summary: dict = {"E": E}
     for name in ("U", "V", "W", "combined"):
         vals = np.asarray([getattr(s, name) for s in samples])
         summary[f"integral_{name}"] = float(

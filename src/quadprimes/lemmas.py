@@ -23,9 +23,6 @@ from .singular import CONSTANT_TRUNCATION, main_term_constant
 # character tables are immutable; cache them across repeated checks
 _group = lru_cache(maxsize=512)(build_character_group)
 
-LEMMA_IDS = ("LS_AVG", "LS_SINGLE", "POLYA_VINOGRADOV", "MEAN_SQ",
-             "MEAN_SQ_TWISTED", "SHORT_AP", "PHI_AVG", "LEGENDRE_SUM")
-
 LS_AVG_C0 = 4.0      # worst dyadic-average large-sieve ratio (params "c0")
 MEAN_SQ_C0 = 2.0     # C0, the log power of both mean-square bounds
 SHORT_AP_TOL = 0.05  # relative deviation from delta/phi(l)
@@ -104,15 +101,13 @@ def phi_average_sum(x: int) -> float:
 # Large sieve and character-sum inequalities
 # ---------------------------------------------------------------------------
 
-def _char_window_sums(q: int, M: int, N: int, coeffs: np.ndarray) -> np.ndarray:
-    """|sum_{n=M+1}^{M+N} a_n chi(n)|^2 for every primitive chi mod q."""
+def _char_matrix(q: int, M: int, N: int) -> np.ndarray:
+    """Rows chi(M+1), ..., chi(M+N), one per primitive chi mod q; (0, N) if none."""
     prim = primitive_characters(_group(q))
     if not prim:
-        return np.zeros(0)
+        return np.zeros((0, N), dtype=np.complex128)
     cols = np.arange(M + 1, M + N + 1, dtype=np.int64) % q
-    V = np.stack([chi.values[cols] for chi in prim])
-    sums = V @ coeffs
-    return np.abs(sums) ** 2
+    return np.stack([chi.values[cols] for chi in prim])
 
 
 def large_sieve_avg_check(Q: int, M: int, N: int, trials: int = 100,
@@ -123,19 +118,12 @@ def large_sieve_avg_check(Q: int, M: int, N: int, trials: int = 100,
     """
     if Q < 1 or N < 1:
         raise ValueError("require Q >= 1 and N >= 1")
-    tables = {q: [chi.values for chi in primitive_characters(_group(q))]
-              for q in range(Q, 2 * Q + 1)}
-    cols = {q: np.arange(M + 1, M + N + 1, dtype=np.int64) % q for q in tables}
-    stacked = {q: np.stack([v[cols[q]] for v in vals]) if vals else None
-               for q, vals in tables.items()}
-    phis = {q: euler_phi(q) for q in tables}
+    mats = [(_char_matrix(q, M, N), euler_phi(q)) for q in range(Q, 2 * Q + 1)]
 
     def lhs(a):
         total = 0.0
-        for q, mat in stacked.items():
-            if mat is None:
-                continue
-            total += float((np.abs(mat @ a) ** 2).sum()) / phis[q]
+        for mat, phi in mats:       # a q with no primitive chi adds 0.0
+            total += float((np.abs(mat @ a) ** 2).sum()) / phi
         return total
 
     rng = np.random.default_rng(seed)
@@ -160,7 +148,7 @@ def large_sieve_single_check(q: int, M: int, N: int,
     a = np.asarray(coeffs, dtype=np.complex128)
     if a.shape != (N,):
         raise ValueError("coeffs must have length N")
-    observed = float(_char_window_sums(q, M, N, a).sum())
+    observed = float((np.abs(_char_matrix(q, M, N) @ a) ** 2).sum())
     reference = (q + N) * float((np.abs(a) ** 2).sum())
     passed = observed <= reference * (1 + 1e-9)
     return _report("LS_SINGLE", {"q": q, "M": M, "N": N}, observed, reference, passed)

@@ -69,7 +69,6 @@ class ScanColumns:
 
 @dataclass(frozen=True)
 class MomentReport:
-    config: ScanConfig
     lhs: float
     bound: float
     ratio: float
@@ -77,7 +76,7 @@ class MomentReport:
     segments: int                   # sieve windows, summed over the scans
     cells: int                      # cells sieved, summed over the scans
     samples: list[tuple[int, float]]    # (t, inner sum) per sample point
-    sampling_sd: float | None       # standard error of the sampled lhs
+    sampling_sd: float | None       # standard error of the sampled lhs; None for 1 sample
 
 
 def progression_sums(t: int, delta: int, K: int):
@@ -156,7 +155,7 @@ def full_window_moment(config: ScanConfig,
     scan = scan_all_k(config, P)
     lhs = float((scan.residual * scan.residual).sum())
     bound = config.K * config.z / math.log(config.z) ** config.B
-    report = MomentReport(config=config, lhs=lhs, bound=bound, ratio=lhs / bound,
+    report = MomentReport(lhs=lhs, bound=bound, ratio=lhs / bound,
                           exceptional_count=exceptional_set(scan.residual, config.z,
                                                             config.B),
                           samples=[], sampling_sd=None, **scan.stats)
@@ -194,9 +193,9 @@ def theorem2_moment(config: ScanConfig, P: int = DEFAULT_TRUNCATION,
     lhs = config.z * float(inner.mean())
     bound = config.delta**2 * config.K / math.log(config.z) ** config.B
     sd = (float(inner.std(ddof=1)) * config.z / math.sqrt(t_samples)
-          if t_samples > 1 else 0.0)
+          if t_samples > 1 else None)
     # exceptional counts are a full-window notion; see full_window_moment
-    return MomentReport(config=config, lhs=lhs, bound=bound, ratio=lhs / bound,
+    return MomentReport(lhs=lhs, bound=bound, ratio=lhs / bound,
                         exceptional_count=None, segments=segments, cells=cells,
                         samples=samples, sampling_sd=sd)
 

@@ -151,6 +151,13 @@ def test_moment2_outputs_and_seed_echo(tmp_path):
     assert moment["exceptional_count"] is None
 
 
+def test_moment2_one_sample_has_no_sampling_sd(tmp_path):
+    assert main(["moment2", "--z=1000000", "--K=3982", "--delta=63096",
+                 "--t_samples=1", f"--out={tmp_path}"]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["moment"]["sampling_sd"] is None     # written as null
+
+
 def test_dispersion_zero_delta(tmp_path):
     code = main(["dispersion", "--z=1000", "--K=5", "--delta=0", "--grid=4",
                  f"--out={tmp_path}"])
@@ -273,6 +280,15 @@ def test_summary_payload_is_deterministic(tmp_path, command):
         del summary["output_dir"]
         payloads.append(summary)
     assert payloads[0] == payloads[1]
+
+
+@pytest.mark.parametrize("command, block", [("moment1", "moment"), ("moment2", "moment"),
+                                            ("dispersion", "profile")])
+def test_result_blocks_do_not_echo_parameters(tmp_path, command, block):
+    assert main([command, *_SMALL_RUNS[command], f"--out={tmp_path}"]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary[block]
+    assert set(summary[block]) & set(summary["parameters"]) == set()
 
 
 def test_csv_writer_holds_a_block_not_the_file(tmp_path, monkeypatch):

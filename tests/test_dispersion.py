@@ -202,11 +202,11 @@ def test_m_tilde_matches_brute_force():
 
 def test_profile_single_point_reduces_to_identity_check():
     p = ScanConfig(z=1000, K=10, delta=200)
-    samples, summary = dispersion_profile(p, t_grid=[1500])
-    s = identity_check(p, 1500)
+    samples, _ = dispersion_profile(p, grid_points=1)    # the one point t = z
+    s = identity_check(p, 1000)
     got = samples[0]
     assert (got.U, got.V, got.W, got.combined) == (s.U, s.V, s.W, s.combined)
-    assert summary["points"] == 1
+    assert len(samples) == 1
 
 
 def test_profile_refuses_an_empty_grid(monkeypatch):
@@ -215,8 +215,8 @@ def test_profile_refuses_an_empty_grid(monkeypatch):
 
     monkeypatch.setattr(dispersion, "identity_check", no_scan)
     p = ScanConfig(z=1000, K=10, delta=200)
-    with pytest.raises(ValueError, match="^t grid is empty$"):
-        dispersion_profile(p, t_grid=[])
+    with pytest.raises(ValueError, match="^need at least one sample point$"):
+        dispersion_profile(p, grid_points=0)
 
 
 def test_profile_grid_and_summary():
@@ -236,6 +236,4 @@ def test_profile_seeded_grid_reproducible():
     _, s1 = dispersion_profile(p, grid_points=6, seed=5)
     _, s2 = dispersion_profile(p, grid_points=6, seed=5)
     assert s1["integral_combined"] == s2["integral_combined"]
-    with pytest.raises(ValueError):
-        dispersion_profile(p, t_grid=[100])  # outside [z, 2z]
 

@@ -1,10 +1,16 @@
 """Tests for the package's public surface."""
 
 import ast
+import importlib
+import inspect
+import json
 from collections import Counter
 from pathlib import Path
 
 import quadprimes
+from quadprimes.arith import sieve_window
+from quadprimes.scan import progression_sums
+from quadprimes.singular import batch_singular_values
 
 
 def test_every_export_resolves():
@@ -43,3 +49,34 @@ def test_every_public_function_has_a_production_caller():
                 if used[name] - _references(definition)[name] == 0:
                     unused.append(f"{module}:{label}")
     assert unused == []
+
+
+# per_layer metrics that are derived from several spans, not one hooked function
+_DERIVED_LAYERS = {"scan.useful_cell_ratio", "cli.results_csv.bytes"}
+
+
+def test_benchmark_layers_name_hooked_public_functions():
+    # perfbench's tracer hooks each public plain function by its
+    # <module>.<function> name; a renamed, private or wrapped one loses its metric
+    bench = json.loads((Path(__file__).parents[1] / "BENCHMARK.json").read_text())
+    missing = []
+    for metric in bench["per_layer"]:
+        layer = metric["name"].rpartition(".")[0]
+        if metric["name"] in _DERIVED_LAYERS or layer.startswith("trace"):
+            continue
+        module, _, name = layer.partition(".")
+        mod = importlib.import_module(f"quadprimes.{module}")
+        fn = getattr(mod, name, None)
+        if (name.startswith("_") or not inspect.isfunction(fn)
+                or fn.__module__ != mod.__name__):
+            missing.append(metric["name"])
+    assert missing == []
+
+
+def test_traced_layers_keep_their_parameter_names():
+    def names(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert names(progression_sums) == ["t", "delta", "K"]
+    assert names(sieve_window) == ["lo", "hi", "table"]
+    assert names(batch_singular_values) == ["K", "P"]

@@ -222,6 +222,7 @@ def test_theorem2_sampling_consistency():
     cfg = ScanConfig(z=2000, K=40, delta=500)
     one = theorem2_moment(cfg, t_samples=1)
     sixteen = theorem2_moment(cfg, t_samples=16)
+    assert one.sampling_sd is None      # one sample gives no spread
     assert sixteen.sampling_sd > 0
     assert abs(one.lhs - sixteen.lhs) <= 6 * sixteen.sampling_sd + 0.5 * sixteen.lhs
     assert [t for t, _ in sixteen.samples] == sample_points(2000, 16)
