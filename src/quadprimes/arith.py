@@ -129,9 +129,13 @@ def isqrt_array(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PrimeTable:
-    """All primes <= limit, ascending, as an int64 array."""
+    """All primes <= limit, ascending, as an int64 array, and the odd prime
+    powers p^e (e >= 3) up to (limit + 1)^2 - 1 or 2^63 - 1, the top of any
+    window the table can sieve: `powers` ascending, `bases` their primes."""
     limit: int
     primes: np.ndarray
+    powers: np.ndarray
+    bases: np.ndarray
 
 
 def primes_up_to(limit: int) -> PrimeTable:
@@ -143,7 +147,16 @@ def primes_up_to(limit: int) -> PrimeTable:
     for p in range(2, math.isqrt(limit) + 1):
         if flags[p]:
             flags[p * p:: p] = False
-    return PrimeTable(limit=limit, primes=np.flatnonzero(flags).astype(np.int64))
+    primes = np.flatnonzero(flags).astype(np.int64)
+    top = min((limit + 1) ** 2 - 1, INT63_CAP)
+    pairs = []
+    for p in primes[1: int(np.searchsorted(primes, top ** (1 / 3) + 1))].tolist():
+        m = p ** 3
+        while m <= top:
+            pairs.append((m, p))
+            m *= p
+    powers, bases = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2).T
+    return PrimeTable(limit=limit, primes=primes, powers=powers, bases=bases)
 
 
 _cached_table: PrimeTable | None = None
@@ -214,7 +227,8 @@ def sieve_window(lo: int, hi: int, table: PrimeTable) -> SieveWindow:
     Requires 2 <= lo < hi and table.limit >= isqrt(hi): smaller tables would
     miss composite witnesses and mislabel composites as prime.  An odd prime
     p at least as large as the odd-cell count strikes at most one cell, so
-    all such p strike in one indexed write; only smaller p loop."""
+    all such p strike in one indexed write; only smaller p loop.  Prime
+    powers come from two binary searches, in ps and in the table's powers."""
     if not 2 <= lo < hi:
         raise ValueError("require 2 <= lo < hi")
     if hi - 1 > INT63_CAP:
@@ -238,11 +252,10 @@ def sieve_window(lo: int, hi: int, table: PrimeTable) -> SieveWindow:
     odd = np.zeros(size, dtype=np.float64)
     idx = np.flatnonzero(flags)
     odd[idx] = np.log((2 * idx + o).astype(np.float64))
-    # proper powers p^e (e >= 2) of odd primes, one exponent at a time
-    while ps.size:
-        hit = pe >= o
-        for p, m in zip(ps[hit].tolist(), pe[hit].tolist()):
-            odd[(m - o) // 2] = math.log(p)
-        more = pe <= (hi - 1) // ps
-        ps, pe = ps[more], pe[more] * ps[more]
+    # odd prime powers: squares from the tail of ps, p^e (e >= 3) from the table
+    sq = int(np.searchsorted(ps, math.isqrt(o - 1), side="right"))
+    i, j = np.searchsorted(table.powers, (o - 1, hi - 1), side="right").tolist()
+    for p, m in zip(ps[sq:].tolist() + table.bases[i:j].tolist(),
+                    pe[sq:].tolist() + table.powers[i:j].tolist()):
+        odd[(m - o) // 2] = math.log(p)
     return SieveWindow(lo=lo, hi=hi, odd=odd)

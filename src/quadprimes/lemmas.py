@@ -116,8 +116,8 @@ def large_sieve_avg_check(Q: int, M: int, N: int, trials: int = 100,
     against (Q + N/Q) sum |a_n|^2; the worst ratio over the coefficient
     draws must stay below LS_AVG_C0 (the bound's constant is unspecified).
     """
-    if Q < 1 or N < 1:
-        raise ValueError("require Q >= 1 and N >= 1")
+    if Q < 1 or N < 1 or trials < 1:
+        raise ValueError("require Q >= 1, N >= 1 and trials >= 1")
     mats = [(_char_matrix(q, M, N), euler_phi(q)) for q in range(Q, 2 * Q + 1)]
 
     def lhs(a):
@@ -136,7 +136,7 @@ def large_sieve_avg_check(Q: int, M: int, N: int, trials: int = 100,
         ratio = obs / ref if ref else 0.0
         if ratio >= worst[0]:
             worst = (ratio, obs, ref)
-    params = {"Q": Q, "M": M, "N": N, "trials": len(draws), "c0": LS_AVG_C0}
+    params = {"Q": Q, "M": M, "N": N, "trials": trials, "c0": LS_AVG_C0}
     return _report("LS_AVG", params, worst[1], worst[2], worst[0] <= LS_AVG_C0, seed)
 
 
@@ -158,19 +158,30 @@ def polya_vinogradov_check(q: int) -> LemmaReport:
     """Exhaustive character-sum maximum against 6 sqrt(q) log q.
 
     Periodicity mod q makes the windows 0 <= M < q, 1 <= N <= q exhaustive
-    over all (M, N).
+    over all (M, N).  A window sum P[M+N] - P[M] of chi's partial sums P has
+    modulus at most the diagonal hypot(ptp(P.real), ptp(P.imag)) of their
+    bounding box, so the characters are searched in descending order of that
+    bound until it falls below the running maximum.  The skip is exact: both
+    come from the same float P, and rounding a difference and its modulus
+    costs a few ulp, well inside the bound's 1e-12 relative slack.
     """
     if q < 3:
         raise ValueError("q must be >= 3")
-    table = _group(q)
-    observed = 0.0
-    for chi in table.characters:
-        if chi.is_principal:
-            continue
+    chars = [chi for chi in _group(q).characters if not chi.is_principal]
+
+    def partial_sums(chi):
         vals = np.concatenate((chi.values, chi.values))
-        prefix = np.concatenate(([0.0], np.cumsum(vals[1: 2 * q + 1])))
-        windows = np.lib.stride_tricks.sliding_window_view(prefix, q)[1: q + 1]
-        observed = max(observed, float(np.abs(windows - prefix[:q, None]).max()))
+        return np.concatenate(([0.0], np.cumsum(vals[1: 2 * q + 1])))
+
+    bounds = [math.hypot(np.ptp(P.real), np.ptp(P.imag)) * (1 + 1e-12)
+              for P in map(partial_sums, chars)]
+    observed = 0.0
+    for i in sorted(range(len(chars)), key=bounds.__getitem__, reverse=True):
+        if bounds[i] < observed:
+            break
+        P = partial_sums(chars[i])
+        windows = np.lib.stride_tricks.sliding_window_view(P, q)[1: q + 1]
+        observed = max(observed, float(np.abs(windows - P[:q, None]).max()))
     reference = 6.0 * math.sqrt(q) * math.log(q)
     return _report("POLYA_VINOGRADOV", {"q": q}, observed, reference,
                    observed <= reference)

@@ -13,7 +13,7 @@ import numpy as np
 from quadprimes import ScanConfig   # the parameter record only; no scan routine
 from quadprimes.arith import (INT63_CAP, PrimeTable, euler_phi, factorize,
                               isqrt_array, shared_prime_table, sieve_window)
-from quadprimes.characters import Character, CharacterTable
+from quadprimes.characters import Character, CharacterTable, build_character_group
 from quadprimes.singular import (DEFAULT_TRUNCATION, _odd_primes_up_to,
                                  cached_singular_values)
 
@@ -333,6 +333,20 @@ def mean_square_exact(z: int, delta_exp: float, M_frac: float,
     cum = np.concatenate(([0.0], np.cumsum(lam)))
     inc = cum[M: M + z] - cum[:z]  # psi(j+M) - psi(j) for j = z .. 2z-1
     return float(((inc - M) ** 2).mean())
+
+
+def polya_vinogradov_max(q: int) -> float:
+    """max |sum_{M < n <= M+N} chi(n)| over every non-principal chi mod q and
+    every window 0 <= M < q, 1 <= N <= q, searching every character."""
+    observed = 0.0
+    for chi in build_character_group(q).characters:
+        if chi.is_principal:
+            continue
+        vals = np.concatenate((chi.values, chi.values))
+        prefix = np.concatenate(([0.0], np.cumsum(vals[1: 2 * q + 1])))
+        windows = np.lib.stride_tricks.sliding_window_view(prefix, q)[1: q + 1]
+        observed = max(observed, float(np.abs(windows - prefix[:q, None]).max()))
+    return observed
 
 
 # ---------------------------------------------------------------------------

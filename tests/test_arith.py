@@ -363,26 +363,45 @@ def _bit_identity_windows():
     # at most 3 odd cells, so every odd prime p >= 3 strikes at most once
     one_shot = [(lo, lo + rng.randint(1, 6))
                 for lo in (rng.randint(10**6, 10**9) for _ in range(60))]
+    # hi = (L + 1)^2 - 1 with L = isqrt(hi), the top of primes_up_to(L)'s range,
+    # holding p^2 for p = L or an odd p^e (e >= 3) just below it
+    edge = [(p * p - 3, (p + 1) ** 2 - 1) for p in (3, 5, 101, 9973, 10007, 46337)]
+    edge += [(m - 20, (math.isqrt(m) + 1) ** 2 - 1)
+             for m in (3**3, 3**5, 5**5, 13**3, 43**3, 109**3, 23**5, 3**15)]
     return {"random_317": random_317, "prime_powers": powers, "powers_of_two": twos,
-            "lo_2_3_4": small_lo, "single_cell": single, "one_shot": one_shot}
+            "lo_2_3_4": small_lo, "single_cell": single, "one_shot": one_shot,
+            "table_edge": edge}
 
 
 @pytest.mark.parametrize("kind", sorted(_bit_identity_windows()))
 def test_sieve_window_bit_identical_to_full_cell_oracle(kind):
-    table = shared_prime_table(10**5)
+    shared = shared_prime_table(10**5)
     for lo, hi in _bit_identity_windows()[kind]:
-        win = sieve_window(lo, hi, table)
-        if kind == "one_shot":
-            assert len(win.odd) <= 3
-        full = sieve_window_full(lo, hi, table)
-        assert win.lam.view(np.int64).tolist() == full.view(np.int64).tolist(), (lo, hi)
-        assert np.array_equal(win.odd.view(np.int64),
-                              full[(lo | 1) - lo:: 2].view(np.int64)), (lo, hi)
-        starts = ((lo, 2), (lo + 1, 2), (lo, 3), (lo + 1, 4), ((lo + hi) // 2, 7))
-        for start, step in starts:
-            if start < hi:
-                assert np.array_equal(win.cells(start, step).view(np.int64),
-                                      full[start - lo:: step].view(np.int64)), (lo, hi)
+        # the shared table and the smallest one sieve_window accepts
+        for table in (shared, primes_up_to(max(2, math.isqrt(hi)))):
+            win = sieve_window(lo, hi, table)
+            if kind == "one_shot":
+                assert len(win.odd) <= 3
+            full = sieve_window_full(lo, hi, table)
+            where = (lo, hi, table.limit)
+            assert win.lam.view(np.int64).tolist() == full.view(np.int64).tolist(), where
+            assert np.array_equal(win.odd.view(np.int64),
+                                  full[(lo | 1) - lo:: 2].view(np.int64)), where
+            starts = ((lo, 2), (lo + 1, 2), (lo, 3), (lo + 1, 4), ((lo + hi) // 2, 7))
+            for start, step in starts:
+                if start < hi:
+                    assert np.array_equal(win.cells(start, step).view(np.int64),
+                                          full[start - lo:: step].view(np.int64)), where
+
+
+def test_prime_table_powers_cover_the_sieve_range():
+    # every odd p^e with e >= 3 up to (limit + 1)^2 - 1, ascending, with its p
+    for limit in [*range(2, 120), 1000, 10**4]:
+        table = primes_up_to(limit)
+        top = (limit + 1) ** 2 - 1
+        want = sorted((p**e, p) for p in table.primes[1:].tolist()
+                      for e in range(3, top.bit_length()) if p**e <= top)
+        assert list(zip(table.powers.tolist(), table.bases.tolist())) == want, limit
 
 
 def test_sieve_window_rejects_small_table():

@@ -6,7 +6,8 @@ import random
 import numpy as np
 import pytest
 
-from oracles import mean_square_exact, sieve_window_full, von_mangoldt
+from oracles import (mean_square_exact, polya_vinogradov_max, sieve_window_full,
+                     von_mangoldt)
 from quadprimes.arith import euler_phi, kronecker, mobius, shared_prime_table
 from quadprimes.lemmas import (default_grid, large_sieve_avg_check,
                                large_sieve_single_check, legendre_sum_check,
@@ -104,6 +105,12 @@ def test_large_sieve_avg_random_batch():
     assert r.observed == again.observed and r.ratio == again.ratio
 
 
+@pytest.mark.parametrize("trials", [0, -4])
+def test_large_sieve_avg_refuses_no_draws(trials):
+    with pytest.raises(ValueError, match="trials >= 1"):
+        large_sieve_avg_check(Q=2, M=0, N=5, trials=trials)
+
+
 def test_large_sieve_single_trivial_cases():
     r = large_sieve_single_check(5, 0, 4, np.zeros(4))
     assert r.passed and r.observed == 0.0
@@ -150,6 +157,13 @@ def test_polya_vinogradov_sweep():
         assert polya_vinogradov_check(q).passed, q
     with pytest.raises(ValueError):
         polya_vinogradov_check(2)
+
+
+def test_polya_vinogradov_bit_identical_to_exhaustive_search():
+    # skipping characters whose bound is below the running maximum is exact
+    for q in range(3, 251):
+        observed = polya_vinogradov_check(q).observed
+        assert observed.hex() == polya_vinogradov_max(q).hex(), q
 
 
 def test_polya_vinogradov_observed_is_attained():
