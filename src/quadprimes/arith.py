@@ -138,8 +138,8 @@ class PrimeTable:
     bases: np.ndarray
 
 
-def primes_up_to(limit: int) -> PrimeTable:
-    """Complete ascending prime table via a bit sieve."""
+def primes_array(limit: int) -> np.ndarray:
+    """All primes <= limit, ascending, as an int64 array, via a flag sieve."""
     if limit < 2:
         raise ValueError("limit must be >= 2")
     flags = np.ones(limit + 1, dtype=bool)
@@ -147,7 +147,12 @@ def primes_up_to(limit: int) -> PrimeTable:
     for p in range(2, math.isqrt(limit) + 1):
         if flags[p]:
             flags[p * p:: p] = False
-    primes = np.flatnonzero(flags).astype(np.int64)
+    return np.flatnonzero(flags).astype(np.int64)
+
+
+def primes_up_to(limit: int) -> PrimeTable:
+    """The PrimeTable of primes_array(limit), for sieving windows."""
+    primes = primes_array(limit)
     top = min((limit + 1) ** 2 - 1, INT63_CAP)
     pairs = []
     for p in primes[1: int(np.searchsorted(primes, top ** (1 / 3) + 1))].tolist():
@@ -157,20 +162,6 @@ def primes_up_to(limit: int) -> PrimeTable:
             m *= p
     powers, bases = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2).T
     return PrimeTable(limit=limit, primes=primes, powers=powers, bases=bases)
-
-
-_cached_table: PrimeTable | None = None
-
-
-def shared_prime_table(limit: int) -> PrimeTable:
-    """Process-wide prime table, grown by doubling and reused across calls."""
-    global _cached_table
-    if _cached_table is None or _cached_table.limit < limit:
-        grow = max(limit, 1 << 16)
-        if _cached_table is not None:
-            grow = max(grow, 2 * _cached_table.limit)
-        _cached_table = primes_up_to(grow)
-    return _cached_table
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,11 @@ The direct triple sum m_tilde that recomputes it is a test oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .scan import ScanConfig, sample_points, scan_all_k
+from .scan import ScanColumns, ScanConfig, _window_scans, sample_points
 from .singular import CONSTANT_TRUNCATION, DEFAULT_TRUNCATION, main_term_constant
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy 2.x / 1.x
@@ -42,18 +42,16 @@ class DispersionSample:
     main_term: float      # (Delta^2 K / 4t) * main-term constant
 
 
-def identity_check(config: ScanConfig, t: int,
-                   P: int = DEFAULT_TRUNCATION) -> DispersionSample:
-    """Evaluate U, V, W and both sides of the expansion identity at one t >= 3."""
-    if config.delta is None:
-        raise ValueError("the dispersion terms need delta")
-    scan = scan_all_k(replace(config, z=t), P)  # window (t, t+delta]
+def identity_check(config: ScanConfig, t: int, scan: ScanColumns,
+                   constant: float) -> DispersionSample:
+    """U, V, W and both sides of the expansion identity from the columns of
+    the window (t, t+delta]; constant is the run's main_term_constant."""
     lam, counts, sing = scan.lambda_sum, scan.count, scan.singular
     U = float((lam * lam).sum())
     V = float((sing * counts * lam).sum())
     W = float((sing * sing * counts * counts).sum())
     direct = float((scan.residual * scan.residual).sum())
-    main = config.delta**2 * config.K / (4.0 * t) * main_term_constant(CONSTANT_TRUNCATION)
+    main = config.delta**2 * config.K / (4.0 * t) * constant
     return DispersionSample(t=t, U=U, V=V, W=W, combined=U - 2 * V + W,
                             direct_square=direct, main_term=main)
 
@@ -67,11 +65,17 @@ def dispersion_profile(config: ScanConfig, P: int = DEFAULT_TRUNCATION,
     and of the combined term over [z, 2z], plus each term's deviation from
     the shared main term measured in units of E.
     """
-    samples = [identity_check(config, t, P)
-               for t in sorted(sample_points(config.z, grid_points, seed))]
+    if config.delta is None:
+        raise ValueError("the dispersion terms need delta")
+    if config.delta < 1:
+        raise ValueError("the dispersion terms need delta >= 1")
+    ts = sorted(sample_points(config.z, grid_points, seed))
+    constant = main_term_constant(CONSTANT_TRUNCATION)
+    samples = [identity_check(config, t, scan, constant)
+               for t, scan in _window_scans(config, ts, P)]
     E = reference_error(config)
 
-    ts = np.asarray([s.t for s in samples], dtype=np.float64)
+    ts = np.asarray(ts, dtype=np.float64)
     summary: dict = {"E": E}
     for name in ("U", "V", "W", "combined"):
         vals = np.asarray([getattr(s, name) for s in samples])
@@ -80,11 +84,9 @@ def dispersion_profile(config: ScanConfig, P: int = DEFAULT_TRUNCATION,
     mains = np.asarray([s.main_term for s in samples])
     for name in ("U", "V", "W"):
         vals = np.asarray([getattr(s, name) for s in samples])
-        summary[f"mean_{name}_minus_main_over_E"] = float(
-            ((vals - mains) / E).mean()) if E > 0 else math.nan
+        summary[f"mean_{name}_minus_main_over_E"] = float(((vals - mains) / E).mean())
     bound = config.delta**2 * config.K / math.log(config.z) ** config.B
-    summary["combined_integral_over_bound"] = (
-        summary["integral_combined"] / bound if bound > 0 else 0.0)
+    summary["combined_integral_over_bound"] = summary["integral_combined"] / bound
     summary["max_identity_residual"] = max(
         abs(s.combined - s.direct_square) / max(1.0, s.direct_square) for s in samples)
     return samples, summary

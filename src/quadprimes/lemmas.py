@@ -11,17 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
-from .arith import (SEGMENT_SIZE, euler_phi, kronecker, mobius,
-                    shared_prime_table, sieve_window)
+from .arith import (SEGMENT_SIZE, euler_phi, kronecker, mobius, primes_array,
+                    primes_up_to, sieve_window)
 from .characters import build_character_group, primitive_characters
 from .singular import CONSTANT_TRUNCATION, main_term_constant
-
-# character tables are immutable; cache them across repeated checks
-_group = lru_cache(maxsize=512)(build_character_group)
 
 LS_AVG_C0 = 4.0      # worst dyadic-average large-sieve ratio (params "c0")
 MEAN_SQ_C0 = 2.0     # C0, the log power of both mean-square bounds
@@ -87,10 +83,7 @@ def phi_average_sum(x: int) -> float:
     """Exact sum_{q<=x} q/phi(4q) via a totient sieve (phi(4q) = 2 phi(q) for
     odd q, 4 phi(q) for even q)."""
     phi = np.arange(x + 1, dtype=np.int64)
-    for p in shared_prime_table(max(2, x)).primes:
-        p = int(p)
-        if p > x:
-            break
+    for p in primes_array(max(2, x)).tolist():
         phi[p::p] -= phi[p::p] // p
     q = np.arange(1, x + 1, dtype=np.float64)
     phi4 = np.where(np.arange(1, x + 1) % 2 == 0, 4 * phi[1:], 2 * phi[1:])
@@ -103,7 +96,7 @@ def phi_average_sum(x: int) -> float:
 
 def _char_matrix(q: int, M: int, N: int) -> np.ndarray:
     """Rows chi(M+1), ..., chi(M+N), one per primitive chi mod q; (0, N) if none."""
-    prim = primitive_characters(_group(q))
+    prim = primitive_characters(build_character_group(q))
     if not prim:
         return np.zeros((0, N), dtype=np.complex128)
     cols = np.arange(M + 1, M + N + 1, dtype=np.int64) % q
@@ -167,7 +160,7 @@ def polya_vinogradov_check(q: int) -> LemmaReport:
     """
     if q < 3:
         raise ValueError("q must be >= 3")
-    chars = [chi for chi in _group(q).characters if not chi.is_principal]
+    chars = [chi for chi in build_character_group(q).characters if not chi.is_principal]
 
     def partial_sums(chi):
         vals = np.concatenate((chi.values, chi.values))
@@ -197,7 +190,7 @@ def short_ap_check(t: int, delta: int, l: int, a: int) -> LemmaReport:
         raise ValueError(f"require gcd(a, l) = 1, got gcd({a}, {l}) = {math.gcd(a, l)}")
     if t < 3 or delta < 1:
         raise ValueError("require t >= 3 and delta >= 1")
-    table = shared_prime_table(max(2, math.isqrt(t + delta) + 1))
+    table = primes_up_to(math.isqrt(t + delta) + 1)
     observed = 0.0
     lo = t + 1
     while lo <= t + delta:
@@ -228,7 +221,7 @@ def _mean_square(lemma_id: str, square, z: int, delta_exp: float, M_frac: float,
     reference = delta**2 / math.log(z) ** MEAN_SQ_C0
     if M == 0:
         return _report(lemma_id, params, 0.0, reference, True, seed)
-    table = shared_prime_table(math.isqrt(2 * z + M) + 1)
+    table = primes_up_to(math.isqrt(2 * z + M) + 1)
     rng = np.random.default_rng(seed)
     ts = rng.integers(z + 1, 2 * z + 1, size=samples)
     vals = []
@@ -256,7 +249,7 @@ def mean_square_twisted_check(z: int, delta_exp: float = 0.4, M_frac: float = 1.
                               samples: int = 200, seed: int = 0) -> LemmaReport:
     """As mean_square_check but for |sum Lambda(n) chi(n)|^2 with no main
     term, for a non-principal chi mod q."""
-    chi = _group(q).characters[chi_index]
+    chi = build_character_group(q).characters[chi_index]
     if chi.is_principal:
         raise ValueError("chi must be non-principal")
 

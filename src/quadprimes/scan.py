@@ -16,13 +16,13 @@ candidate; the per-candidate route is the cross-check oracle in the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import (INT63_CAP, LOG2, SEGMENT_SIZE, isqrt_array, shared_prime_table,
-                    sieve_window)
-from .singular import DEFAULT_TRUNCATION, cached_singular_values
+from .arith import INT63_CAP, LOG2, SEGMENT_SIZE, isqrt_array, primes_up_to, sieve_window
+from .singular import DEFAULT_TRUNCATION, batch_singular_values
 
 
 @dataclass(frozen=True)
@@ -40,6 +40,8 @@ class ScanConfig:
             raise ValueError("K must be >= 1")
         if self.delta is not None and self.delta < 0:
             raise ValueError("delta must be non-negative")
+        if not 0 <= self.B < math.inf:
+            raise ValueError(f"B must be finite and >= 0, got {self.B}")
 
     @property
     def window_delta(self) -> int:
@@ -93,7 +95,7 @@ def progression_sums(t: int, delta: int, K: int):
     if t + delta + K >= INT63_CAP:
         raise OverflowError("window top exceeds the 2^63-1 cap")
     top = t + delta
-    table = shared_prime_table(max(2, math.isqrt(top) + 1)) if delta else None
+    table = primes_up_to(math.isqrt(top) + 1) if delta else None
     # An even n lands odd m only on odd k, an odd n only on even k, so each
     # parity of k gets its own contiguous accumulator: k sits at (k-1)//2.
     by_parity = (np.zeros((K + 1) // 2), np.zeros(K // 2))
@@ -135,12 +137,26 @@ def progression_sums(t: int, delta: int, K: int):
     return lambda_sums, counts, {"segments": windows, "cells": cells}
 
 
+def _window_scans(config: ScanConfig, ts: list[int],
+                  P: int) -> Iterator[tuple[int, ScanColumns]]:
+    """(t, columns of the window (t, t + delta]) for each t in ts, in order.
+
+    The run's S(k) is computed once, after the first window is sieved, and
+    shared by every window's columns."""
+    singular = None
+    for t in ts:
+        lam, counts, stats = progression_sums(t, config.window_delta, config.K)
+        if singular is None:
+            singular = batch_singular_values(config.K, P)
+        yield t, ScanColumns(lambda_sum=lam, count=counts, singular=singular,
+                             residual=lam - singular * counts, stats=stats)
+        del lam, counts             # free this window's columns before the next scan
+
+
 def scan_all_k(config: ScanConfig, P: int = DEFAULT_TRUNCATION) -> ScanColumns:
     """A_k, c_k, S(k) and A_k - S(k) c_k for every k <= K over the window."""
-    lam, counts, stats = progression_sums(config.z, config.window_delta, config.K)
-    sing = cached_singular_values(config.K, P)
-    return ScanColumns(lambda_sum=lam, count=counts, singular=sing,
-                       residual=lam - sing * counts, stats=stats)
+    [(_, scan)] = _window_scans(config, [config.z], P)
+    return scan
 
 
 def full_window_moment(config: ScanConfig,
@@ -181,10 +197,11 @@ def theorem2_moment(config: ScanConfig, P: int = DEFAULT_TRUNCATION,
     """
     if config.delta is None:
         raise ValueError("theorem2_moment requires delta")
+    if config.delta < 1:
+        raise ValueError("theorem2_moment requires delta >= 1")
     samples = []
     segments = cells = 0
-    for t in sample_points(config.z, t_samples, seed):
-        scan = scan_all_k(replace(config, z=t), P)  # window (t, t+delta]
+    for t, scan in _window_scans(config, sample_points(config.z, t_samples, seed), P):
         samples.append((t, float((scan.residual * scan.residual).sum())))
         segments += scan.stats["segments"]
         cells += scan.stats["cells"]

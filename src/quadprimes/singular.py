@@ -14,8 +14,7 @@ So
 
 batch_singular_values evaluates this for every k <= K with h(-4k) counted
 exactly (class_numbers) and the product cut at P; singular_error_bound proves
-how far the result can be from S(k).  cached_singular_values serves repeated
-requests from a prefix cache.
+how far the result can be from S(k).
 
 Also computes the main-term constant prod_{p>2} (1 + 1/(p(p-1))).
 """
@@ -26,7 +25,7 @@ import math
 
 import numpy as np
 
-from .arith import factorize, shared_prime_table
+from .arith import factorize, primes_array
 
 DEFAULT_TRUNCATION = 10**4      # correction-product cutoff P
 CONSTANT_TRUNCATION = 10**6     # main-term constant default cutoff
@@ -40,12 +39,6 @@ MAX_BATCH_CELLS = 4 * 10**9
 # A cell of class_numbers' strided slices took 4.6 ns (K = 1e6) to 8.4 ns
 # (K = 1e5) on the same box, so each counts as this many cells.
 _STRIDED_CELL_WEIGHT = 4
-
-
-def _odd_primes_up_to(limit: int) -> np.ndarray:
-    primes = shared_prime_table(limit).primes
-    cut = int(np.searchsorted(primes, limit, side="right"))
-    return primes[1:cut]  # drop p = 2
 
 
 # chi(p) takes these values; one pair of log1p calls gives a prime's three
@@ -141,7 +134,7 @@ def batch_singular_values(K: int, P: int) -> np.ndarray:
         raise ValueError(f"S(k) for K={K} with P={P} needs about {cells:.2e} cell "
                          f"updates, over the cap of {MAX_BATCH_CELLS:.0e}; lower K or P")
     acc = np.zeros(K + 1)
-    _add_patterns(acc, _odd_primes_up_to(P))
+    _add_patterns(acc, primes_array(P)[1:])   # the odd primes
     k = np.arange(1, K + 1)
     units = np.where(k == 1, 4.0, 2.0)        # w(-4k)
     inverse_l = units * np.sqrt(4.0 * k) / (2 * math.pi * class_numbers(K)[1:])
@@ -165,27 +158,12 @@ def singular_error_bound(P: int) -> float:
     """
     if P < 3:
         raise ValueError("P must be >= 3")
-    primes = _odd_primes_up_to(P)
+    primes = primes_array(P)[1:]
     least_odd_above = P + 1 + P % 2
     tail = 0.5 / (least_odd_above - 2)
     rounding = _UNIT_ROUNDOFF * (37.0 * float((1.0 / (primes - 2.0)).sum())
                                  + 0.51 * primes.size + 14.0)
     return math.expm1(tail + rounding) * (1.0 + 1e-9)
-
-
-# Prefix cache: values for k <= K are independent of K, so one big batch per
-# truncation P serves every smaller request by slicing.
-_batch_cache: dict[int, np.ndarray] = {}
-
-
-def cached_singular_values(K: int, P: int) -> np.ndarray:
-    have = _batch_cache.get(P)
-    if have is None or have.size < K:
-        _batch_cache[P] = batch_singular_values(max(K, 128), P)
-    return _batch_cache[P][:K].copy()
-
-
-_const_cache: dict[int, float] = {}
 
 
 def main_term_constant(P: int = CONSTANT_TRUNCATION) -> float:
@@ -196,7 +174,5 @@ def main_term_constant(P: int = CONSTANT_TRUNCATION) -> float:
     """
     if P < 3:
         raise ValueError("P must be >= 3")
-    if P not in _const_cache:
-        p = _odd_primes_up_to(P).astype(np.float64)
-        _const_cache[P] = math.exp(float(np.log1p(1.0 / (p * (p - 1.0))).sum()))
-    return _const_cache[P]
+    p = primes_array(P)[1:].astype(np.float64)
+    return math.exp(float(np.log1p(1.0 / (p * (p - 1.0))).sum()))

@@ -2,7 +2,8 @@
 
 Each routine recomputes a production quantity by a slower, more literal
 route (or is a validation mode that only the tests run), so the two can be
-compared.
+compared.  identity_at alone is no oracle: it runs the production
+identity_check at one t, for the tests that check it window by window.
 """
 
 import math
@@ -10,12 +11,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from quadprimes import ScanConfig   # the parameter record only; no scan routine
+from quadprimes import ScanConfig
 from quadprimes.arith import (INT63_CAP, PrimeTable, euler_phi, factorize,
-                              isqrt_array, shared_prime_table, sieve_window)
+                              isqrt_array, primes_array, primes_up_to, sieve_window)
 from quadprimes.characters import Character, CharacterTable, build_character_group
-from quadprimes.singular import (DEFAULT_TRUNCATION, _odd_primes_up_to,
-                                 cached_singular_values)
+from quadprimes.dispersion import DispersionSample, identity_check
+from quadprimes.scan import ScanColumns, progression_sums
+from quadprimes.singular import (CONSTANT_TRUNCATION, DEFAULT_TRUNCATION,
+                                 batch_singular_values, main_term_constant)
 
 # ---------------------------------------------------------------------------
 # primality and von Mangoldt, one integer at a time
@@ -199,7 +202,7 @@ def _per_prime_log_sums(K: int, P: int, factor_log) -> np.ndarray:
     acc = np.zeros(K + 1)
     ks = np.arange(K + 1)
     symbols = np.array([-1.0, 0.0, 1.0])
-    for p in _odd_primes_up_to(P).tolist():
+    for p in primes_array(P)[1:].tolist():
         acc += factor_log(symbols, p)[_legendre_table(p)[ks % p]]
     return acc
 
@@ -237,7 +240,7 @@ def legendre_symbols(a: int, primes: np.ndarray) -> np.ndarray:
 
 def correction_log_sum(k: int, lo: int, hi: int) -> float:
     """sum over odd primes lo < p <= hi of log f_p(k), f_p = (1 - s/(p-1))/(1 - s/p)."""
-    primes = _odd_primes_up_to(hi)
+    primes = primes_array(hi)[1:]
     primes = primes[primes > lo]
     s = legendre_symbols(-k, primes).astype(np.float64)
     return math.fsum(np.log1p(-s / (primes - 1.0)) - np.log1p(-s / primes))
@@ -247,7 +250,7 @@ def lower_bound_diagnostic(K: int, P: int) -> float:
     """min over 1 <= k <= K of S(k) * log(k + 2); positive, non-increasing in K."""
     if K < 1:
         raise ValueError("K must be positive")
-    values = cached_singular_values(K, P)
+    values = batch_singular_values(K, P)
     ks = np.arange(1, K + 1, dtype=np.float64)
     return float((values * np.log(ks + 2.0)).min())
 
@@ -290,9 +293,9 @@ def theorem2_exact_integral(config: ScanConfig, P: int = DEFAULT_TRUNCATION,
     z, K, delta = config.z, config.K, config.delta
     if z > z_cap:
         raise ValueError(f"exact integration is capped at z <= {z_cap}")
-    table = shared_prime_table(max(2, math.isqrt(2 * z + delta) + 1))
+    table = primes_up_to(math.isqrt(2 * z + delta) + 1)
     lam_all = sieve_window(z + 1, 2 * z + delta + 1, table).lam
-    sing = cached_singular_values(K, P)
+    sing = batch_singular_values(K, P)
     lam = progression_sums_full(z, delta, K, table)
     counts = np.array([window_count(k, z, delta) for k in range(1, K + 1)],
                       dtype=np.float64)
@@ -312,6 +315,24 @@ def theorem2_exact_integral(config: ScanConfig, P: int = DEFAULT_TRUNCATION,
 
 
 # ---------------------------------------------------------------------------
+# dispersion terms at one t
+# ---------------------------------------------------------------------------
+
+MAIN_TERM_CONSTANT = main_term_constant(CONSTANT_TRUNCATION)
+
+
+def identity_at(config: ScanConfig, t: int, singular: np.ndarray) -> DispersionSample:
+    """identity_check at one t on the columns of (t, t+delta] that scan_all_k
+    would return, with S(k) the first K values of singular: one batch serves
+    every call, since values do not depend on the batch's K."""
+    lam, counts, stats = progression_sums(t, config.delta, config.K)
+    sing = singular[:config.K]
+    scan = ScanColumns(lambda_sum=lam, count=counts, singular=sing,
+                       residual=lam - sing * counts, stats=stats)
+    return identity_check(config, t, scan, MAIN_TERM_CONSTANT)
+
+
+# ---------------------------------------------------------------------------
 # lemmas
 # ---------------------------------------------------------------------------
 
@@ -328,7 +349,7 @@ def mean_square_exact(z: int, delta_exp: float, M_frac: float,
     M = int(round(M_frac * delta))
     if M == 0:
         return 0.0
-    table = shared_prime_table(math.isqrt(2 * z + M) + 1)
+    table = primes_up_to(math.isqrt(2 * z + M) + 1)
     lam = sieve_window(z + 1, 2 * z + M + 1, table).lam
     cum = np.concatenate(([0.0], np.cumsum(lam)))
     inc = cum[M: M + z] - cum[:z]  # psi(j+M) - psi(j) for j = z .. 2z-1

@@ -13,18 +13,17 @@ import time
 import numpy as np
 import pytest
 
-from oracles import (MTildeParams, m_tilde, von_mangoldt, window_count,
+from oracles import (MTildeParams, identity_at, m_tilde, von_mangoldt, window_count,
                      window_lambda_sum)
 from quadprimes.cli import main as cli_main
-from quadprimes.dispersion import identity_check, reference_error
+from quadprimes.dispersion import reference_error
 from quadprimes.lemmas import (large_sieve_single_check, legendre_sum_check,
                                mean_square_check, mean_square_twisted_check,
                                phi_average_check, polya_vinogradov_check)
-from quadprimes.lemmas import _group as character_group
 from quadprimes.arith import mobius
-from quadprimes.characters import primitive_characters
+from quadprimes.characters import build_character_group, primitive_characters
 from quadprimes.scan import ScanConfig, progression_sums, theorem2_moment
-from quadprimes.singular import (DEFAULT_TRUNCATION, cached_singular_values,
+from quadprimes.singular import (DEFAULT_TRUNCATION, batch_singular_values,
                                  main_term_constant)
 
 SEED = 20260808
@@ -47,7 +46,7 @@ def note(criterion: int, passed: bool, detail: str):
 def scan_z1e8():
     """A_k, c_k, S(k) at z=1e8, K=1e5 (shared by criteria 6 and 7)."""
     lam, counts, _ = progression_sums(10**8, 10**8, 10**5)
-    sing = cached_singular_values(10**5, DEFAULT_TRUNCATION)
+    sing = batch_singular_values(10**5, DEFAULT_TRUNCATION)
     return lam, counts.astype(np.float64), sing
 
 
@@ -58,10 +57,11 @@ def scan_z1e8():
 def test_criterion_01_dispersion_identity():
     started = time.perf_counter()
     checked = 0
+    singular = batch_singular_values(50, DEFAULT_TRUNCATION)     # K <= 50 below
 
     def check(z, delta, K, t):
         nonlocal checked
-        s = identity_check(ScanConfig(z=z, K=K, delta=delta), t)
+        s = identity_at(ScanConfig(z=z, K=K, delta=delta), t, singular)
         assert abs(s.direct_square - s.combined) <= 1e-9 * max(1.0, s.direct_square), \
             (z, delta, K, t)
         checked += 1
@@ -148,7 +148,7 @@ def test_criterion_05_large_sieve_single():
     rng = np.random.default_rng(SEED)
     worst = 0.0
     for q in range(2, 51):
-        prim = primitive_characters(character_group(q))
+        prim = primitive_characters(build_character_group(q))
         for N in range(1, 51):
             M = int(rng.integers(0, 100))
             draws = rng.normal(size=(100, N)) + 1j * rng.normal(size=(100, N))
@@ -189,7 +189,7 @@ def test_criterion_06_hardy_littlewood_average(scan_z1e8):
             resid = lam - sing * counts
         else:
             lz, cz, _ = progression_sums(z, z, K)
-            resid = lz - cached_singular_values(K, DEFAULT_TRUNCATION) * cz
+            resid = lz - sing[:K] * cz      # S(k) does not depend on the batch's K
         norms.append(float((resid * resid).sum()) / (K * z))
     assert norms[0] > norms[1] > norms[2]
     note(6, True, f"mean A_k/(S c_k) = {ratio:.5f} in [0.95, 1.05]; "
@@ -238,9 +238,10 @@ def test_criterion_09_main_terms():
     K = math.ceil(round(z**0.6, 6))
     params = MTildeParams(z=z, K=K, delta=delta, B=1.0)
     c0 = main_term_constant(10**6)
+    singular = batch_singular_values(K, DEFAULT_TRUNCATION)
     ratios = []
     for t in (z, z + z // 3, 2 * z - delta):
-        s = identity_check(params, t, P=DEFAULT_TRUNCATION)
+        s = identity_at(params, t, singular)
         main = delta**2 * K / (4.0 * t) * c0
         ratios.append((t, s.V / main, s.W / main))
         assert abs(s.V / main - 1.0) <= 0.20, (t, s.V / main)

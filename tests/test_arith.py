@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from oracles import (_ceil_sqrt, integer_nth_root, is_prime, perfect_power_base,
                      sieve_window_full, von_mangoldt)
 from quadprimes.arith import (INT63_CAP, euler_phi, isqrt_array, kronecker, mobius,
-                              primes_up_to, shared_prime_table, sieve_window)
+                              primes_up_to, sieve_window)
 
 # the largest r with r^2 <= 2^63 - 1
 ROOT_CAP = math.isqrt(INT63_CAP)
@@ -279,7 +279,7 @@ def test_von_mangoldt_full_sweep_against_oracle():
 
 
 def test_chebyshev_psi_ratio():
-    table = shared_prime_table(1100)
+    table = primes_up_to(1100)
     win = sieve_window(2, 10**6 + 1, table)
     ratio = float(win.lam.sum()) / 10**6
     assert 0.99 <= ratio <= 1.01
@@ -307,7 +307,7 @@ def test_sieve_window_composite_singleton():
 
 
 def test_sieve_window_invariants():
-    table = shared_prime_table(1000)
+    table = primes_up_to(1000)
     win = sieve_window(500, 1500, table)
     assert len(win.lam) == 1000
     for i in range(len(win.lam)):
@@ -320,7 +320,7 @@ def test_sieve_window_invariants():
 
 
 def test_sieve_window_split_law():
-    table = shared_prime_table(4000)
+    table = primes_up_to(4000)
     rng = random.Random(9)
     for _ in range(25):
         a = rng.randint(2, 10**6)
@@ -333,7 +333,7 @@ def test_sieve_window_split_law():
 
 
 def test_sieve_window_matches_von_mangoldt_on_random_windows():
-    table = shared_prime_table(40000)
+    table = primes_up_to(40000)
     rng = random.Random(10)
     for _ in range(300):
         lo = rng.randint(2, 10**9)
@@ -375,10 +375,10 @@ def _bit_identity_windows():
 
 @pytest.mark.parametrize("kind", sorted(_bit_identity_windows()))
 def test_sieve_window_bit_identical_to_full_cell_oracle(kind):
-    shared = shared_prime_table(10**5)
+    large = primes_up_to(10**5)
     for lo, hi in _bit_identity_windows()[kind]:
-        # the shared table and the smallest one sieve_window accepts
-        for table in (shared, primes_up_to(max(2, math.isqrt(hi)))):
+        # a large table and the smallest one sieve_window accepts
+        for table in (large, primes_up_to(max(2, math.isqrt(hi)))):
             win = sieve_window(lo, hi, table)
             if kind == "one_shot":
                 assert len(win.odd) <= 3

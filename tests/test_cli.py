@@ -158,15 +158,33 @@ def test_moment2_one_sample_has_no_sampling_sd(tmp_path):
     assert summary["moment"]["sampling_sd"] is None     # written as null
 
 
-def test_dispersion_zero_delta(tmp_path):
-    code = main(["dispersion", "--z=1000", "--K=5", "--delta=0", "--grid=4",
-                 f"--out={tmp_path}"])
-    assert code == 0
-    lines = (tmp_path / "results.csv").read_text().strip().splitlines()
-    assert lines[0] == "t,U,V,W,combined,direct_square,main_term,E"
-    for line in lines[1:]:
-        fields = line.split(",")
-        assert float(fields[1]) == float(fields[2]) == float(fields[3]) == 0.0
+def _refused(argv, out, capsys) -> list[str]:
+    """Run argv into out; it must exit 1 and write no file there.  Returns its
+    non-warning stderr lines (a traceback would have raised out of main)."""
+    assert main([*argv, f"--out={out}"]) == 1
+    assert not any(out.iterdir())
+    return [ln for ln in capsys.readouterr().err.splitlines()
+            if not ln.startswith("warning: ")]
+
+
+def test_dispersion_zero_delta(tmp_path, capsys):
+    # an empty window has no dispersion terms: E = 0 made NaN in summary.json
+    assert _refused(["dispersion", "--z=1000", "--K=5", "--delta=0", "--grid=4"],
+                    tmp_path, capsys) == [
+        "error: the dispersion terms need delta >= 1"]
+
+
+def test_moment2_zero_delta(tmp_path, capsys):
+    assert _refused(["moment2", "--z=1000", "--K=40", "--delta=0"],
+                    tmp_path, capsys) == [
+        "error: theorem2_moment requires delta >= 1"]
+
+
+@pytest.mark.parametrize("B", ["nan", "inf", "-1000"])
+def test_moment1_refuses_a_non_finite_or_negative_B(tmp_path, capsys, B):
+    assert _refused(["moment1", "--z=1000", "--K=40", f"--B={B}"],
+                    tmp_path, capsys) == [
+        f"error: B must be finite and >= 0, got {float(B)}"]
 
 
 def test_lemmas_default_grid_run(tmp_path):
@@ -295,17 +313,15 @@ def test_csv_writer_holds_a_block_not_the_file(tmp_path, monkeypatch):
     write, peaks = cli._write_outputs, []
 
     def traced(*args):
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        write(*args)
-        peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        tracemalloc.start()             # traces the writer alone, not the scan
+        try:
+            write(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
 
     monkeypatch.setattr(cli, "_write_outputs", traced)
-    tracemalloc.start()
-    try:
-        assert main(["scan", "--z=1000000", "--K=50000", f"--out={tmp_path}"]) == 0
-    finally:
-        tracemalloc.stop()
+    assert main(["scan", "--z=1000000", "--K=50000", f"--out={tmp_path}"]) == 0
     assert peaks[0] < (tmp_path / "results.csv").stat().st_size / 4
 
 

@@ -6,14 +6,19 @@ import random
 import numpy as np
 import pytest
 
-from oracles import (MTildeParams, m_tilde, von_mangoldt, window_count,
-                     window_lambda_sum)
-from quadprimes import dispersion
+from oracles import (MTildeParams, identity_at, m_tilde, von_mangoldt,
+                     window_count, window_lambda_sum)
+from quadprimes import dispersion, scan
 from quadprimes.arith import euler_phi
-from quadprimes.dispersion import (dispersion_profile, identity_check,
-                                   reference_error)
-from quadprimes.scan import ScanConfig
-from quadprimes.singular import DEFAULT_TRUNCATION, cached_singular_values
+from quadprimes.dispersion import dispersion_profile, reference_error
+from quadprimes.scan import ScanConfig, theorem2_moment
+from quadprimes.singular import DEFAULT_TRUNCATION, batch_singular_values
+
+
+@pytest.fixture(scope="module")
+def singular():
+    """S(k) for every k <= 60, the largest K these tests scan."""
+    return batch_singular_values(60, DEFAULT_TRUNCATION)
 
 
 def u_double_loop(t, delta, K):
@@ -62,64 +67,61 @@ def test_params_derived_quantities():
         ScanConfig(z=2, K=1, delta=1)
 
 
-def test_terms_vanish_for_empty_window():
+def test_terms_vanish_for_empty_window(singular):
     p = ScanConfig(z=100, K=5, delta=0)
-    s = identity_check(p, 150)
+    s = identity_at(p, 150, singular)
     assert s.U == s.V == s.W == s.combined == s.direct_square == 0.0
-
-
-def test_identity_check_refuses_t_below_3():
-    p = ScanConfig(z=100, K=5, delta=50)
-    for t in (0, 2):
-        with pytest.raises(ValueError, match="z must be >= 3"):
-            identity_check(p, t)
 
 
 def test_dispersion_refuses_a_config_without_delta():
     p = ScanConfig(z=100, K=5)
     with pytest.raises(ValueError, match="^the dispersion terms need delta$"):
-        identity_check(p, 150)
-    with pytest.raises(ValueError, match="^the dispersion terms need delta$"):
         dispersion_profile(p, grid_points=2)
 
 
-def test_u_term_single_contribution():
+def test_dispersion_refuses_an_empty_window():
+    p = ScanConfig(z=100, K=5, delta=0)
+    with pytest.raises(ValueError, match="^the dispersion terms need delta >= 1$"):
+        dispersion_profile(p, grid_points=2)
+
+
+def test_u_term_single_contribution(singular):
     p = ScanConfig(z=100, K=1, delta=50)
-    assert identity_check(p, 100).U == pytest.approx(math.log(101) ** 2, rel=1e-12)
+    assert identity_at(p, 100, singular).U == pytest.approx(math.log(101) ** 2, rel=1e-12)
 
 
-def test_u_term_factored_equals_double_loop():
+def test_u_term_factored_equals_double_loop(singular):
     rng = random.Random(30)
     for _ in range(15):
         t = rng.randint(50, 1000)
         delta = rng.randint(0, 200)
         K = rng.randint(1, 20)
         p = ScanConfig(z=max(t, 3), K=K, delta=delta)
-        assert identity_check(p, t).U == pytest.approx(u_double_loop(t, delta, K),
-                                                       rel=1e-9, abs=1e-9)
+        assert identity_at(p, t, singular).U == pytest.approx(
+            u_double_loop(t, delta, K), rel=1e-9, abs=1e-9)
 
 
-def test_v_term_pinned_components():
+def test_v_term_pinned_components(singular):
     p = ScanConfig(z=100, K=1, delta=50)
-    s1 = float(cached_singular_values(1, DEFAULT_TRUNCATION)[0])
-    assert identity_check(p, 100, P=DEFAULT_TRUNCATION).V == pytest.approx(
+    s1 = float(singular[0])
+    assert identity_at(p, 100, singular).V == pytest.approx(
         s1 * 3 * math.log(101), rel=1e-12)
 
 
-def test_w_term_pinned_components():
+def test_w_term_pinned_components(singular):
     p = ScanConfig(z=100, K=2, delta=50)
-    sing = cached_singular_values(2, DEFAULT_TRUNCATION)
+    sing = singular[:2]
     expect = sing[0] ** 2 * 9 + sing[1] ** 2 * 9  # counts are 3 and 3
     assert window_count(1, 100, 50) == window_count(2, 100, 50) == 3
-    assert identity_check(p, 100, P=DEFAULT_TRUNCATION).W == pytest.approx(
+    assert identity_at(p, 100, singular).W == pytest.approx(
         float(expect), rel=1e-12)
-    assert identity_check(p, 100).W >= 0.0
+    assert identity_at(p, 100, singular).W >= 0.0
 
 
-def test_identity_assembled_from_components():
+def test_identity_assembled_from_components(singular):
     p = ScanConfig(z=100, K=2, delta=50)
-    s = identity_check(p, 100, P=DEFAULT_TRUNCATION)
-    sing = cached_singular_values(2, DEFAULT_TRUNCATION)
+    s = identity_at(p, 100, singular)
+    sing = singular[:2]
     direct = U = V = W = 0.0
     for k in (1, 2):
         a = window_lambda_sum(k, 100, 50)
@@ -136,7 +138,7 @@ def test_identity_assembled_from_components():
     assert s.W == pytest.approx(W, rel=1e-12)
 
 
-def test_identity_random_instances():
+def test_identity_random_instances(singular):
     rng = random.Random(31)
     for _ in range(150):
         z = rng.randint(3, 10**4)
@@ -144,16 +146,16 @@ def test_identity_random_instances():
         delta = rng.choice([0, 1, rng.randint(2, 400)])
         K = rng.randint(1, 60)
         p = ScanConfig(z=z, K=K, delta=delta)
-        s = identity_check(p, t)
+        s = identity_at(p, t, singular)
         assert abs(s.combined - s.direct_square) <= 1e-9 * max(1.0, s.direct_square)
         assert s.combined >= -1e-9 * max(1.0, s.direct_square)
 
 
-def test_terms_monotone_in_delta():
+def test_terms_monotone_in_delta(singular):
     seen = {"U": [], "V": [], "W": []}
     for delta in (0, 10, 50, 100, 400):
         p = ScanConfig(z=2000, K=25, delta=delta)
-        s = identity_check(p, 2100)
+        s = identity_at(p, 2100, singular)
         for key in seen:
             seen[key].append(getattr(s, key))
     for key, vals in seen.items():
@@ -200,10 +202,10 @@ def test_m_tilde_matches_brute_force():
 # profiles
 # ---------------------------------------------------------------------------
 
-def test_profile_single_point_reduces_to_identity_check():
+def test_profile_single_point_reduces_to_identity_check(singular):
     p = ScanConfig(z=1000, K=10, delta=200)
     samples, _ = dispersion_profile(p, grid_points=1)    # the one point t = z
-    s = identity_check(p, 1000)
+    s = identity_at(p, 1000, singular)
     got = samples[0]
     assert (got.U, got.V, got.W, got.combined) == (s.U, s.V, s.W, s.combined)
     assert len(samples) == 1
@@ -237,3 +239,25 @@ def test_profile_seeded_grid_reproducible():
     _, s2 = dispersion_profile(p, grid_points=6, seed=5)
     assert s1["integral_combined"] == s2["integral_combined"]
 
+
+
+def test_runs_compute_singular_values_and_constant_once(monkeypatch):
+    # S(k) and the main-term constant belong to the run: every t-window
+    # shares the one value its run computed
+    calls = {"batch": 0, "constant": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(scan, "batch_singular_values",
+                        counted("batch", scan.batch_singular_values))
+    monkeypatch.setattr(dispersion, "main_term_constant",
+                        counted("constant", dispersion.main_term_constant))
+    p = ScanConfig(z=2000, K=20, delta=400)
+    dispersion_profile(p, grid_points=8)
+    assert calls == {"batch": 1, "constant": 1}
+    theorem2_moment(p, t_samples=4)
+    assert calls == {"batch": 2, "constant": 1}

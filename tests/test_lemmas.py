@@ -8,7 +8,7 @@ import pytest
 
 from oracles import (mean_square_exact, polya_vinogradov_max, sieve_window_full,
                      von_mangoldt)
-from quadprimes.arith import euler_phi, kronecker, mobius, shared_prime_table
+from quadprimes.arith import euler_phi, kronecker, mobius, primes_up_to
 from quadprimes.lemmas import (default_grid, large_sieve_avg_check,
                                large_sieve_single_check, legendre_sum_check,
                                mean_square_check, mean_square_twisted_check, phi_average_check,
@@ -208,7 +208,7 @@ def test_short_ap_desk_scale():
 def test_short_ap_observed_bit_identical_to_full_cell_sum(t, delta, l, a):
     """One window: the sum over the progression of a full-cell sieve."""
     lo, hi = t + 1, t + delta + 1
-    lam = sieve_window_full(lo, hi, shared_prime_table(math.isqrt(hi) + 1))
+    lam = sieve_window_full(lo, hi, primes_up_to(math.isqrt(hi) + 1))
     first = lo + (a - lo) % l
     expected = float(lam[first - lo:: l].sum()) if first < hi else 0.0
     assert short_ap_check(t, delta, l, a).observed.hex() == expected.hex()

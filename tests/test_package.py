@@ -80,3 +80,42 @@ def test_traced_layers_keep_their_parameter_names():
     assert names(progression_sums) == ["t", "delta", "K"]
     assert names(sieve_window) == ["lo", "hi", "table"]
     assert names(batch_singular_values) == ["K", "P"]
+
+
+
+def _memoizes(node) -> bool:
+    """node names lru_cache or cache anywhere in it, as in the decorator
+    @functools.cache or the call chain lru_cache(maxsize=512)(f)."""
+    return any((isinstance(sub, ast.Name) and sub.id in ("cache", "lru_cache"))
+               or (isinstance(sub, ast.Attribute) and sub.attr in ("cache", "lru_cache"))
+               for sub in ast.walk(node))
+
+
+def _empty_container(node) -> bool:
+    return ((isinstance(node, ast.Dict) and not node.keys)
+            or (isinstance(node, ast.List) and not node.elts)
+            or (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("dict", "list") and not node.args
+                and not node.keywords))
+
+
+def test_no_process_wide_caches():
+    # a value that one run reuses belongs to that run: src/ keeps no state
+    # across calls in `global`s, module-level memoized functions or empty
+    # module-level containers
+    found = []
+    for path in sorted(Path(quadprimes.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        found += [f"{path.name}:{node.lineno} global" for node in ast.walk(tree)
+                  if isinstance(node, ast.Global)]
+        for node in tree.body:
+            where = f"{path.name}:{node.lineno}"
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if any(map(_memoizes, node.decorator_list)):
+                    found.append(f"{where} memoized {node.name}")
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value:
+                if isinstance(node.value, ast.Call) and _memoizes(node.value.func):
+                    found.append(f"{where} memoized wrapper")
+                if _empty_container(node.value):
+                    found.append(f"{where} empty container")
+    assert found == []

@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 import quadprimes.scan
 from oracles import (progression_sums_full, theorem2_exact_integral, von_mangoldt,
                      window_count, window_lambda_sum)
-from quadprimes.arith import INT63_CAP, SEGMENT_SIZE, shared_prime_table
+from quadprimes.arith import INT63_CAP, SEGMENT_SIZE, primes_up_to
 from quadprimes.scan import (MomentReport, ScanConfig, exceptional_set,
                              full_window_moment, progression_sums, sample_points,
                              scan_all_k, theorem2_moment)
-from quadprimes.singular import DEFAULT_TRUNCATION, cached_singular_values
+from quadprimes.singular import DEFAULT_TRUNCATION, batch_singular_values
 
 
 def count_brute(k, t, delta):
@@ -104,7 +104,7 @@ def test_scan_all_k_small_example():
     assert scan.lambda_sum[0] == pytest.approx(math.log(101) + math.log(197), rel=1e-12)
     assert scan.residual[0] == pytest.approx(
         scan.lambda_sum[0] - scan.singular[0] * scan.count[0], rel=1e-12)
-    assert np.array_equal(scan.singular, cached_singular_values(10, DEFAULT_TRUNCATION))
+    assert np.array_equal(scan.singular, batch_singular_values(10, DEFAULT_TRUNCATION))
     assert scan.stats["segments"] > 0 and scan.stats["cells"] > 0
 
 
@@ -147,7 +147,7 @@ def test_progression_sums_bit_identical_to_full_cell_scan(monkeypatch, t, delta,
                                                           seg_size):
     monkeypatch.setattr(quadprimes.scan, "SEGMENT_SIZE", seg_size)
     lam, _, _ = progression_sums(t, delta, K)
-    table = shared_prime_table(math.isqrt(t + delta) + 1)
+    table = primes_up_to(math.isqrt(t + delta) + 1)
     oracle = progression_sums_full(t, delta, K, table)
     assert lam.view(np.int64).tolist() == oracle.view(np.int64).tolist()
 
@@ -218,6 +218,22 @@ def test_theorem2_requires_delta():
         theorem2_moment(ScanConfig(z=1000, K=30))
 
 
+def test_theorem2_refuses_an_empty_window():
+    with pytest.raises(ValueError, match="^theorem2_moment requires delta >= 1$"):
+        theorem2_moment(ScanConfig(z=1000, K=30, delta=0))
+
+
+@pytest.mark.parametrize("B", [math.nan, math.inf, -math.inf, -1000.0, -1e-9])
+def test_scan_config_refuses_a_non_finite_or_negative_B(B):
+    with pytest.raises(ValueError, match="^B must be finite and >= 0"):
+        ScanConfig(z=1000, K=30, B=B)
+
+
+def test_scan_config_accepts_B_zero():
+    report = full_window_moment(ScanConfig(z=1000, K=30, B=0.0))[1]
+    assert report.bound == 30 * 1000
+
+
 def test_theorem2_sampling_consistency():
     cfg = ScanConfig(z=2000, K=40, delta=500)
     one = theorem2_moment(cfg, t_samples=1)
@@ -229,10 +245,14 @@ def test_theorem2_sampling_consistency():
     assert sixteen.exceptional_count is None
 
 
-def test_theorem2_peak_memory_does_not_grow_with_samples():
-    # one sample's K-length columns are freed before the next window is scanned
+def test_theorem2_peak_memory_does_not_grow_with_samples(monkeypatch):
+    # one sample's K-length columns are freed before the next window is
+    # scanned.  The run's S(k), which every window shares, is computed
+    # before tracing starts, so each run holds the same one array.
     cfg = ScanConfig(z=10**6, K=20000, delta=2000)
-    theorem2_moment(cfg, t_samples=2)           # builds the cached tables
+    singular = batch_singular_values(cfg.K, DEFAULT_TRUNCATION)
+    monkeypatch.setattr(quadprimes.scan, "batch_singular_values", lambda K, P: singular)
+    theorem2_moment(cfg, t_samples=2)           # first-call allocations stay out
     peaks = {}
     for t_samples in (1, 16):
         tracemalloc.start()
