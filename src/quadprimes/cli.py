@@ -8,9 +8,10 @@ rows) and summary.json (full effective config echo, the row count, a
 git-style content hash of the CSV's bytes as read back from disk) into the
 output directory, so a run is reproducible from its summary alone.  Only
 `timings` differs between reruns: wall_seconds, compute_seconds (until the
-library call returns) and peak RSS.  The `moment` and `profile` blocks hold
-computed values only, no copy of `parameters`; moment2's `moment` adds
-sampling_sd (null for one sample) and has exceptional_count null.
+library call returns) and the peak RSS of the process and of its workers.
+The `moment` and `profile` blocks hold computed values only, no copy of
+`parameters`; moment2's `moment` adds sampling_sd (null for one sample) and
+has exceptional_count null.
 
 Exit codes: 0 success, 2 when a computed check reports pass=false,
 1 for any error (unknown command/key, malformed or out-of-range value,
@@ -21,17 +22,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import shutil
 import sys
+import tempfile
 import time
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from itertools import islice
 from pathlib import Path
 
 from .dispersion import dispersion_profile
 from .lemmas import default_grid
-from .scan import (MomentReport, ScanColumns, ScanConfig, full_window_moment,
-                   scan_all_k, theorem2_moment)
+from .scan import (MomentReport, ScanColumns, ScanConfig, _worker, full_window_moment,
+                   scan_all_k, theorem2_moment, worker_peaks)
 from .singular import (CONSTANT_TRUNCATION, DEFAULT_TRUNCATION, batch_singular_values,
                        main_term_constant, singular_error_bound)
 
@@ -143,6 +144,10 @@ def parse_config(args: list[str]) -> RunConfig:
 # back: the output path holds one block, not the whole CSV.
 _BLOCK_ROWS = 1024
 _HASH_CHUNK = 1 << 18
+# A CSV of this many blocks or more has its back half formatted by a worker: a
+# block of scan rows takes 2.8 ms, so that half outlasts the fork (see
+# scan._FORK_MIN_PIECES) twice over.
+_FORK_MIN_BLOCKS = 8
 
 
 def _content_hash(path: Path) -> str:
@@ -164,17 +169,34 @@ def _peak_rss_mb() -> float | None:
         return None
 
 
-def _write_outputs(config: RunConfig, header: str, rows: Iterable[str],
+def _write_rows(fh, lines, lo: int, hi: int) -> None:
+    for start in range(lo, hi, _BLOCK_ROWS):
+        block = lines(slice(start, min(start + _BLOCK_ROWS, hi)))
+        fh.write(("\n".join(block) + "\n").encode())
+    fh.flush()                  # a worker leaves by os._exit, which flushes nothing
+
+
+def _write_outputs(config: RunConfig, header: str, rows: tuple,
                    extra: dict, started: float, compute_seconds: float) -> None:
     config.output_dir.mkdir(parents=True, exist_ok=True)
     csv_path = config.output_dir / "results.csv"
-    count = 0
-    rows = iter(rows)
-    with csv_path.open("w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        while block := list(islice(rows, _BLOCK_ROWS)):
-            fh.write("\n".join(block) + "\n")
-            count += len(block)
+    count, lines = rows
+    blocks = -(-count // _BLOCK_ROWS)
+    split = blocks // 2 * _BLOCK_ROWS if blocks >= _FORK_MIN_BLOCKS else count
+    # a worker formats the back half into an unnamed file beside the CSV
+    with (csv_path.open("wb") as fh,
+          tempfile.TemporaryFile(dir=config.output_dir) as back,
+          _worker(lambda: _write_rows(back, lines, split, count), split < count) as join):
+        fh.write(header.encode() + b"\n")
+        _write_rows(fh, lines, 0, split)
+        try:
+            join()
+        except ChildProcessError:
+            _write_rows(fh, lines, split, count)
+        else:
+            back.seek(0)
+            shutil.copyfileobj(back, fh)
+    peaks = worker_peaks.get()
     summary = {
         "command": config.command,
         "parameters": {k: v for k, v in sorted(config.parameters.items())},
@@ -183,26 +205,27 @@ def _write_outputs(config: RunConfig, header: str, rows: Iterable[str],
         "content_hash": _content_hash(csv_path),
         "timings": {"wall_seconds": time.perf_counter() - started,
                     "compute_seconds": compute_seconds,
-                    "peak_rss_mb": _peak_rss_mb()},
+                    "peak_rss_mb": _peak_rss_mb(),
+                    "worker_peak_rss_mb": max(peaks) / 1024 if peaks else None},
     }
     if config.command not in ("lemmas", "constant"):    # the others compute S(k)
         summary["health"] = {
             "singular_error_bound": singular_error_bound(config.parameters["P"])}
     summary.update(extra)
     (config.output_dir / "summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 _SCAN_HEADER = "k,lambda_sum,count,singular,residual"
 
 
-def _row_lines(scan: ScanColumns) -> Iterator[str]:
-    for lo in range(0, scan.lambda_sum.size, _BLOCK_ROWS):
-        part = slice(lo, lo + _BLOCK_ROWS)
+def _scan_rows(scan: ScanColumns) -> tuple:
+    def lines(part: slice) -> list[str]:
         columns = zip(scan.lambda_sum[part].tolist(), scan.count[part].tolist(),
                       scan.singular[part].tolist(), scan.residual[part].tolist())
-        for k, (lam, count, sing, resid) in enumerate(columns, lo + 1):
-            yield f"{k},{lam!r},{count},{sing!r},{resid!r}"
+        return [f"{k},{lam!r},{count},{sing!r},{resid!r}"
+                for k, (lam, count, sing, resid) in enumerate(columns, part.start + 1)]
+    return scan.lambda_sum.size, lines
 
 
 def _report_dict(report: MomentReport) -> dict:
@@ -220,23 +243,24 @@ def _scan_config(p: dict) -> ScanConfig:
 
 
 # Each runner maps the parameters to (header, rows, extra): the CSV header,
-# its lines (any iterable, formatted as written) and the summary's own keys.
+# its rows as (count, lines) with lines(part) the lines of the rows in the
+# slice part, formatted as written, and the summary's own keys.
 
 def _run_scan(p: dict):
     scan = scan_all_k(_scan_config(p), P=p["P"])
-    return _SCAN_HEADER, _row_lines(scan), {}
+    return _SCAN_HEADER, _scan_rows(scan), {}
 
 
 def _run_moment1(p: dict):
     scan, report = full_window_moment(_scan_config(p), P=p["P"])
-    return _SCAN_HEADER, _row_lines(scan), {"moment": _report_dict(report)}
+    return _SCAN_HEADER, _scan_rows(scan), {"moment": _report_dict(report)}
 
 
 def _run_moment2(p: dict):
     report = theorem2_moment(_scan_config(p), P=p["P"], t_samples=p["t_samples"],
                              seed=p["seed"])
     rows = [f"{i},{t},{val!r}" for i, (t, val) in enumerate(report.samples)]
-    return "sample,t,inner_sum", rows, {
+    return "sample,t,inner_sum", (len(rows), rows.__getitem__), {
         "moment": {**_report_dict(report), "sampling_sd": report.sampling_sd}}
 
 
@@ -247,7 +271,8 @@ def _run_dispersion(p: dict):
     rows = [f"{s.t},{s.U!r},{s.V!r},{s.W!r},{s.combined!r},"
             f"{s.direct_square!r},{s.main_term!r},{E!r}"
             for s in samples]
-    return "t,U,V,W,combined,direct_square,main_term,E", rows, {"profile": summary}
+    return ("t,U,V,W,combined,direct_square,main_term,E", (len(rows), rows.__getitem__),
+            {"profile": summary})
 
 
 def _params_field(params: dict) -> str:
@@ -264,23 +289,21 @@ def _run_lemmas(p: dict):
             f"{'' if r.seed is None else r.seed}"
             for r in reports]
     failures = [r.lemma_id for r in reports if not r.passed]
-    return ("lemma_id,params,observed,reference,ratio,pass,seed", rows,
-            {"failures": failures})
+    return ("lemma_id,params,observed,reference,ratio,pass,seed",
+            (len(rows), rows.__getitem__), {"failures": failures})
 
 
 def _run_singular(p: dict):
     K, P = p["K"], p["P"]
     values = batch_singular_values(K, P)
-    rows = (f"{k},{P},{value!r}"
-            for lo in range(0, K, _BLOCK_ROWS)
-            for k, value in enumerate(values[lo:lo + _BLOCK_ROWS].tolist(), lo + 1))
-    return "k,P,value", rows, {}
+    return "k,P,value", (K, lambda part: [
+        f"{k},{P},{v!r}" for k, v in enumerate(values[part].tolist(), part.start + 1)]), {}
 
 
 def _run_constant(p: dict):
     value = main_term_constant(p["P"])
     print(f"main-term constant at P={p['P']}: {value!r}")
-    return "P,value", [f"{p['P']},{value!r}"], {"constant": value}
+    return "P,value", (1, [f"{p['P']},{value!r}"].__getitem__), {"constant": value}
 
 
 _RUNNERS = {"scan": _run_scan, "moment1": _run_moment1, "moment2": _run_moment2,
@@ -291,6 +314,7 @@ _RUNNERS = {"scan": _run_scan, "moment1": _run_moment1, "moment2": _run_moment2,
 def run(config: RunConfig) -> int:
     """Execute the configured command; returns the process exit code."""
     started = time.perf_counter()
+    token = worker_peaks.set([])
     try:
         header, rows, extra = _RUNNERS[config.command](config.parameters)
         compute_seconds = time.perf_counter() - started
@@ -299,6 +323,8 @@ def run(config: RunConfig) -> int:
         raise CliError(f"I/O failure: {exc}") from exc
     except (ValueError, OverflowError) as exc:  # the library's own range checks
         raise CliError(str(exc)) from exc
+    finally:
+        worker_peaks.reset(token)
     return 2 if extra.get("failures") else 0
 
 

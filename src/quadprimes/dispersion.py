@@ -15,7 +15,6 @@ The direct triple sum m_tilde that recomputes it is a test oracle.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,7 @@ _trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy 2.x / 1.x
 
 def reference_error(config: ScanConfig) -> float:
     """Reference error size E = Delta^2 K / (z (log z)^B)."""
-    return config.delta**2 * config.K / (config.z * math.log(config.z) ** config.B)
+    return config.delta**2 * config.K / (config.z * config.log_power)
 
 
 @dataclass(frozen=True)
@@ -85,7 +84,7 @@ def dispersion_profile(config: ScanConfig, P: int = DEFAULT_TRUNCATION,
     for name in ("U", "V", "W"):
         vals = np.asarray([getattr(s, name) for s in samples])
         summary[f"mean_{name}_minus_main_over_E"] = float(((vals - mains) / E).mean())
-    bound = config.delta**2 * config.K / math.log(config.z) ** config.B
+    bound = config.delta**2 * config.K / config.log_power
     summary["combined_integral_over_bound"] = summary["integral_combined"] / bound
     summary["max_identity_residual"] = max(
         abs(s.combined - s.direct_square) / max(1.0, s.direct_square) for s in samples)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import time
 import tracemalloc
 
@@ -9,6 +10,8 @@ import numpy as np
 import pytest
 
 import quadprimes.cli as cli
+import quadprimes.scan as scan
+import quadprimes.singular as singular
 from quadprimes.cli import CliError, RunConfig, main, parse_config
 from quadprimes.lemmas import LemmaReport
 from quadprimes.scan import ScanConfig, full_window_moment
@@ -294,7 +297,7 @@ def test_summary_payload_is_deterministic(tmp_path, command):
         assert main([command, *_SMALL_RUNS[command], f"--out={out}"]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert set(summary.pop("timings")) == {"wall_seconds", "compute_seconds",
-                                               "peak_rss_mb"}
+                                               "peak_rss_mb", "worker_peak_rss_mb"}
         del summary["output_dir"]
         payloads.append(summary)
     assert payloads[0] == payloads[1]
@@ -361,6 +364,23 @@ def test_library_range_error_moment1_window_over_cap(tmp_path, capsys):
         "error: window top exceeds the 2^63-1 cap"]
 
 
+def test_library_range_error_large_B_before_any_scan(tmp_path, capsys, monkeypatch):
+    def not_called(*args):
+        raise AssertionError("progression_sums ran")
+
+    monkeypatch.setattr(scan, "progression_sums", not_called)
+    assert main(["moment1", "--z=1000", "--K=40", "--B=1e6", f"--out={tmp_path}"]) == 1
+    assert capsys.readouterr().err == (
+        "error: B=1000000.0 is too large: (log z)^B overflows\n")
+
+
+def test_summary_refuses_nan(tmp_path, monkeypatch):
+    monkeypatch.setitem(cli._RUNNERS, "constant", lambda p: (
+        "P,value", (1, ["1,nan"].__getitem__), {"constant": float("nan")}))
+    assert main(["constant", f"--out={tmp_path}"]) == 1
+    assert not (tmp_path / "summary.json").exists()
+
+
 def test_library_range_error_singular_k_zero(tmp_path, capsys):
     assert main(["singular", "--K=0", f"--out={tmp_path}"]) == 1
     assert capsys.readouterr().err == "error: K must be positive\n"
@@ -379,3 +399,90 @@ def test_scan_commands_print_range_warnings(tmp_path, capsys, command):
     assert main([command, *_SMALL_RUNS[command], f"--out={tmp_path}"]) == 0
     assert capsys.readouterr().err.startswith(
         "warning: K=20 outside the intended range [z^(1/2), z/2] = [32, 500]\n")
+
+
+# ---------------------------------------------------------------------------
+# forked workers: S(k) beside the first sieve, the CSV's back half
+# ---------------------------------------------------------------------------
+
+_WORKER_RUN = ["moment1", "--z=3000000", "--K=3000"]    # 3 sieve pieces, 3 CSV blocks
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """Thresholds low and two CPUs, so _WORKER_RUN forks both workers; the
+    list returned records each fork."""
+    monkeypatch.setattr(scan, "_FORK_MIN_PIECES", 1)
+    monkeypatch.setattr(cli, "_FORK_MIN_BLOCKS", 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    forks, fork = [], os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+def _payload(out):
+    summary = json.loads((out / "summary.json").read_text())
+    del summary["output_dir"]
+    return (out / "results.csv").read_bytes(), summary, summary.pop("timings")
+
+
+def test_worker_paths_write_the_in_process_files(tmp_path, monkeypatch, workers):
+    assert main([*_WORKER_RUN, f"--out={tmp_path}/w"]) == 0
+    assert len(workers) == 2 and _no_child_left()
+    monkeypatch.setattr(scan, "_FORK_MIN_PIECES", 10**9)
+    monkeypatch.setattr(cli, "_FORK_MIN_BLOCKS", 10**9)
+    assert main([*_WORKER_RUN, f"--out={tmp_path}/p"]) == 0
+    assert len(workers) == 2
+    csv, summary, timings = _payload(tmp_path / "w")
+    assert (csv, summary) == _payload(tmp_path / "p")[:2]
+    assert timings["worker_peak_rss_mb"] > 0
+    assert _payload(tmp_path / "p")[2]["worker_peak_rss_mb"] is None
+
+
+def test_failed_worker_leaves_the_library_error_to_the_cli(tmp_path, capfd, monkeypatch,
+                                                          workers):
+    monkeypatch.setattr(singular, "MAX_BATCH_CELLS", 1)
+    with pytest.raises(ValueError) as refusal:
+        singular.batch_singular_values(3000, DEFAULT_TRUNCATION)
+    assert main([*_WORKER_RUN, f"--out={tmp_path}"]) == 1
+    assert len(workers) == 1 and _no_child_left()
+    assert capfd.readouterr().err == f"error: {refusal.value}\n"
+
+
+@pytest.mark.parametrize("module, name, forks", [(scan, "progression_sums", 1),
+                                                 (cli, "_write_rows", 2)])
+def test_interrupt_after_fork_kills_the_worker(tmp_path, monkeypatch, workers,
+                                               module, name, forks):
+    parent, real = os.getpid(), getattr(module, name)
+
+    def interrupted(*args):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return real(*args)
+
+    monkeypatch.setattr(module, name, interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main([*_WORKER_RUN, f"--out={tmp_path}/out"])
+    assert len(workers) == forks and _no_child_left()
+    assert {p.name for p in tmp_path.glob("out/*")} <= {"results.csv"}
+
+
+def test_single_cpu_affinity_never_forks(tmp_path, monkeypatch, workers):
+    def refused():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "fork", refused)
+    assert main([*_WORKER_RUN, f"--out={tmp_path}"]) == 0
+    assert _payload(tmp_path)[2]["worker_peak_rss_mb"] is None

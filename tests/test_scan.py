@@ -229,6 +229,12 @@ def test_scan_config_refuses_a_non_finite_or_negative_B(B):
         ScanConfig(z=1000, K=30, B=B)
 
 
+def test_scan_config_refuses_a_B_whose_log_power_overflows():
+    with pytest.raises(ValueError, match=r"^B=1000000.0 is too large: \(log z\)\^B"):
+        ScanConfig(z=1000, K=40, B=1e6)
+    assert ScanConfig(z=1000, K=40, B=2.0).log_power == math.log(1000) ** 2.0
+
+
 def test_scan_config_accepts_B_zero():
     report = full_window_moment(ScanConfig(z=1000, K=30, B=0.0))[1]
     assert report.bound == 30 * 1000
