@@ -3,12 +3,13 @@
 Commands: scan, moment1, moment2, dispersion, lemmas, singular, constant.
 Parameters come from --key=value flags and/or a plain-text config file of
 `key = value` lines (# comments); flags override file values.  Each command
-returns its rows and values; run() alone writes results.csv (in blocks of
-rows) and summary.json (full effective config echo, the row count, a
-git-style content hash of the CSV's bytes as read back from disk) into the
-output directory, so a run is reproducible from its summary alone.  Only
-`timings` differs between reruns: wall_seconds, compute_seconds (until the
-library call returns) and the peak RSS of the process and of its workers.
+returns its CSV as columns of values and its summary values; run() alone
+writes results.csv (blocks of rows, each cell formatted by _write_rows) and
+summary.json (full effective config echo, the row count, a git-style content
+hash of the CSV's bytes as read back from disk) into the output directory, so
+a run is reproducible from its summary alone.  Only `timings` differs between
+reruns: wall_seconds, compute_seconds (until the library call returns) and
+the peak RSS of the process and of its workers.
 The `moment` and `profile` blocks hold computed values only, no copy of
 `parameters`; moment2's `moment` adds sampling_sd (null for one sample) and
 has exceptional_count null.
@@ -169,30 +170,34 @@ def _peak_rss_mb() -> float | None:
         return None
 
 
-def _write_rows(fh, lines, lo: int, hi: int) -> None:
+def _write_rows(fh, columns: tuple, lo: int, hi: int) -> None:
+    """Write rows lo..hi-1 of the columns as CSV lines, a block at a time; a cell
+    is str() of its value (repr for a float), taken from an ndarray by .tolist()."""
+    line = ",".join(["%s"] * len(columns)) + "\n"       # %s formats by str()
     for start in range(lo, hi, _BLOCK_ROWS):
-        block = lines(slice(start, min(start + _BLOCK_ROWS, hi)))
-        fh.write(("\n".join(block) + "\n").encode())
+        part = slice(start, min(start + _BLOCK_ROWS, hi))
+        cells = [c[part].tolist() if hasattr(c, "tolist") else c[part] for c in columns]
+        fh.write("".join(map(line.__mod__, zip(*cells))).encode())
     fh.flush()                  # a worker leaves by os._exit, which flushes nothing
 
 
-def _write_outputs(config: RunConfig, header: str, rows: tuple,
+def _write_outputs(config: RunConfig, header: str, columns: tuple,
                    extra: dict, started: float, compute_seconds: float) -> None:
     config.output_dir.mkdir(parents=True, exist_ok=True)
     csv_path = config.output_dir / "results.csv"
-    count, lines = rows
+    count = len(columns[0])
     blocks = -(-count // _BLOCK_ROWS)
     split = blocks // 2 * _BLOCK_ROWS if blocks >= _FORK_MIN_BLOCKS else count
     # a worker formats the back half into an unnamed file beside the CSV
     with (csv_path.open("wb") as fh,
           tempfile.TemporaryFile(dir=config.output_dir) as back,
-          _worker(lambda: _write_rows(back, lines, split, count), split < count) as join):
+          _worker(lambda: _write_rows(back, columns, split, count), split < count) as join):
         fh.write(header.encode() + b"\n")
-        _write_rows(fh, lines, 0, split)
+        _write_rows(fh, columns, 0, split)
         try:
             join()
         except ChildProcessError:
-            _write_rows(fh, lines, split, count)
+            _write_rows(fh, columns, split, count)
         else:
             back.seek(0)
             shutil.copyfileobj(back, fh)
@@ -216,16 +221,11 @@ def _write_outputs(config: RunConfig, header: str, rows: tuple,
         json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
-_SCAN_HEADER = "k,lambda_sum,count,singular,residual"
-
-
-def _scan_rows(scan: ScanColumns) -> tuple:
-    def lines(part: slice) -> list[str]:
-        columns = zip(scan.lambda_sum[part].tolist(), scan.count[part].tolist(),
-                      scan.singular[part].tolist(), scan.residual[part].tolist())
-        return [f"{k},{lam!r},{count},{sing!r},{resid!r}"
-                for k, (lam, count, sing, resid) in enumerate(columns, part.start + 1)]
-    return scan.lambda_sum.size, lines
+def _scan_csv(scan: ScanColumns) -> tuple[str, tuple]:
+    """The header and columns of a scan's CSV: one row per k."""
+    return "k,lambda_sum,count,singular,residual", (
+        range(1, scan.lambda_sum.size + 1), scan.lambda_sum, scan.count, scan.singular,
+        scan.residual)
 
 
 def _report_dict(report: MomentReport) -> dict:
@@ -242,41 +242,35 @@ def _scan_config(p: dict) -> ScanConfig:
     return cfg
 
 
-# Each runner maps the parameters to (header, rows, extra): the CSV header,
-# its rows as (count, lines) with lines(part) the lines of the rows in the
-# slice part, formatted as written, and the summary's own keys.
+# Each runner maps the parameters to (header, columns, extra): the CSV header,
+# a tuple of equal-length columns (a range, an ndarray or a list) holding the
+# cells' values unformatted, and the summary's own keys.
 
 def _run_scan(p: dict):
     scan = scan_all_k(_scan_config(p), P=p["P"])
-    return _SCAN_HEADER, _scan_rows(scan), {}
+    return *_scan_csv(scan), {}
 
 
 def _run_moment1(p: dict):
     scan, report = full_window_moment(_scan_config(p), P=p["P"])
-    return _SCAN_HEADER, _scan_rows(scan), {"moment": _report_dict(report)}
+    return *_scan_csv(scan), {"moment": _report_dict(report)}
 
 
 def _run_moment2(p: dict):
     report = theorem2_moment(_scan_config(p), P=p["P"], t_samples=p["t_samples"],
                              seed=p["seed"])
-    rows = [f"{i},{t},{val!r}" for i, (t, val) in enumerate(report.samples)]
-    return "sample,t,inner_sum", (len(rows), rows.__getitem__), {
+    ts, values = zip(*report.samples)
+    return "sample,t,inner_sum", (range(len(ts)), ts, values), {
         "moment": {**_report_dict(report), "sampling_sd": report.sampling_sd}}
 
 
 def _run_dispersion(p: dict):
     samples, summary = dispersion_profile(_scan_config(p), P=p["P"],
                                           grid_points=p["grid"], seed=p["seed"])
-    E = summary["E"]
-    rows = [f"{s.t},{s.U!r},{s.V!r},{s.W!r},{s.combined!r},"
-            f"{s.direct_square!r},{s.main_term!r},{E!r}"
-            for s in samples]
-    return ("t,U,V,W,combined,direct_square,main_term,E", (len(rows), rows.__getitem__),
-            {"profile": summary})
-
-
-def _params_field(params: dict) -> str:
-    return ";".join(f"{k}={v}" for k, v in params.items())
+    columns = [[getattr(s, name) for s in samples]
+               for name in ("t", "U", "V", "W", "combined", "direct_square", "main_term")]
+    return ("t,U,V,W,combined,direct_square,main_term,E",
+            (*columns, [summary["E"]] * len(samples)), {"profile": summary})
 
 
 def _run_lemmas(p: dict):
@@ -284,26 +278,24 @@ def _run_lemmas(p: dict):
     for r in reports:
         print(f"{r.lemma_id}: {'pass' if r.passed else 'FAIL'} "
               f"(observed={r.observed:.6g}, reference={r.reference:.6g})")
-    rows = [f"{r.lemma_id},{_params_field(r.params)},{r.observed!r},"
-            f"{r.reference!r},{r.ratio!r},{str(r.passed).lower()},"
-            f"{'' if r.seed is None else r.seed}"
-            for r in reports]
-    failures = [r.lemma_id for r in reports if not r.passed]
-    return ("lemma_id,params,observed,reference,ratio,pass,seed",
-            (len(rows), rows.__getitem__), {"failures": failures})
+    columns = ([r.lemma_id for r in reports],
+               [";".join(f"{k}={v}" for k, v in r.params.items()) for r in reports],
+               [r.observed for r in reports], [r.reference for r in reports],
+               [r.ratio for r in reports], [str(r.passed).lower() for r in reports],
+               ["" if r.seed is None else r.seed for r in reports])
+    return "lemma_id,params,observed,reference,ratio,pass,seed", columns, {
+        "failures": [r.lemma_id for r in reports if not r.passed]}
 
 
 def _run_singular(p: dict):
     K, P = p["K"], p["P"]
-    values = batch_singular_values(K, P)
-    return "k,P,value", (K, lambda part: [
-        f"{k},{P},{v!r}" for k, v in enumerate(values[part].tolist(), part.start + 1)]), {}
+    return "k,P,value", (range(1, K + 1), [P] * K, batch_singular_values(K, P)), {}
 
 
 def _run_constant(p: dict):
     value = main_term_constant(p["P"])
     print(f"main-term constant at P={p['P']}: {value!r}")
-    return "P,value", (1, [f"{p['P']},{value!r}"].__getitem__), {"constant": value}
+    return "P,value", ([p["P"]], [value]), {"constant": value}
 
 
 _RUNNERS = {"scan": _run_scan, "moment1": _run_moment1, "moment2": _run_moment2,
@@ -316,9 +308,9 @@ def run(config: RunConfig) -> int:
     started = time.perf_counter()
     token = worker_peaks.set([])
     try:
-        header, rows, extra = _RUNNERS[config.command](config.parameters)
+        header, columns, extra = _RUNNERS[config.command](config.parameters)
         compute_seconds = time.perf_counter() - started
-        _write_outputs(config, header, rows, extra, started, compute_seconds)
+        _write_outputs(config, header, columns, extra, started, compute_seconds)
     except OSError as exc:
         raise CliError(f"I/O failure: {exc}") from exc
     except (ValueError, OverflowError) as exc:  # the library's own range checks

@@ -49,10 +49,9 @@ def identity_check(config: ScanConfig, t: int, scan: ScanColumns,
     U = float((lam * lam).sum())
     V = float((sing * counts * lam).sum())
     W = float((sing * sing * counts * counts).sum())
-    direct = float((scan.residual * scan.residual).sum())
     main = config.delta**2 * config.K / (4.0 * t) * constant
     return DispersionSample(t=t, U=U, V=V, W=W, combined=U - 2 * V + W,
-                            direct_square=direct, main_term=main)
+                            direct_square=scan.residual_square_sum, main_term=main)
 
 
 def dispersion_profile(config: ScanConfig, P: int = DEFAULT_TRUNCATION,
@@ -84,8 +83,8 @@ def dispersion_profile(config: ScanConfig, P: int = DEFAULT_TRUNCATION,
     for name in ("U", "V", "W"):
         vals = np.asarray([getattr(s, name) for s in samples])
         summary[f"mean_{name}_minus_main_over_E"] = float(((vals - mains) / E).mean())
-    bound = config.delta**2 * config.K / config.log_power
-    summary["combined_integral_over_bound"] = summary["integral_combined"] / bound
+    summary["combined_integral_over_bound"] = (summary["integral_combined"]
+                                               / config.theorem2_bound)
     summary["max_identity_residual"] = max(
         abs(s.combined - s.direct_square) / max(1.0, s.direct_square) for s in samples)
     return samples, summary

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import (SEGMENT_SIZE, euler_phi, kronecker, mobius, primes_array,
-                    primes_up_to, sieve_window)
+from .arith import euler_phi, kronecker, mobius, primes_array, primes_up_to, sieve_window
 from .characters import build_character_group, primitive_characters
+from .scan import _windows
 from .singular import CONSTANT_TRUNCATION, main_term_constant
 
 LS_AVG_C0 = 4.0      # worst dyadic-average large-sieve ratio (params "c0")
@@ -186,20 +186,17 @@ def polya_vinogradov_check(q: int) -> LemmaReport:
 
 def short_ap_check(t: int, delta: int, l: int, a: int) -> LemmaReport:
     """Lambda-sum over n = a mod l in (t, t+delta] against delta/phi(l)."""
+    if t < 3 or delta < 1 or l < 1:
+        raise ValueError("require t >= 3, delta >= 1 and l >= 1")
     if math.gcd(a, l) != 1:
         raise ValueError(f"require gcd(a, l) = 1, got gcd({a}, {l}) = {math.gcd(a, l)}")
-    if t < 3 or delta < 1:
-        raise ValueError("require t >= 3 and delta >= 1")
     table = primes_up_to(math.isqrt(t + delta) + 1)
     observed = 0.0
-    lo = t + 1
-    while lo <= t + delta:
-        hi = min(lo + SEGMENT_SIZE, t + delta + 1)
+    for lo, hi in _windows(t, delta, t + delta):     # K at the top: no gap to skip
         win = sieve_window(lo, hi, table)
         first = lo + (a - lo) % l
         if first < hi:
             observed += float(win.cells(first, l).sum())
-        lo = hi
     reference = delta / euler_phi(l)
     params = {"t": t, "delta": delta, "l": l, "a": a, "tol": SHORT_AP_TOL}
     return _report("SHORT_AP", params, observed, reference,

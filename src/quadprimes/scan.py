@@ -57,6 +57,11 @@ class ScanConfig:
     def window_delta(self) -> int:
         return self.z if self.delta is None else self.delta
 
+    @property
+    def theorem2_bound(self) -> float:
+        """Theorem 2's bound Delta^2 K / (log z)^B on the t-integral."""
+        return self.window_delta**2 * self.K / self.log_power
+
     def range_warnings(self) -> list[str]:
         """Advisory range checks; desk-scale runs may sit outside on purpose."""
         out = []
@@ -78,6 +83,11 @@ class ScanColumns:
     residual: np.ndarray
     stats: dict
 
+    @property
+    def residual_square_sum(self) -> float:
+        """sum_k (A_k - S(k) c_k)^2, the inner sum of both moments."""
+        return float((self.residual * self.residual).sum())
+
 
 @dataclass(frozen=True)
 class MomentReport:
@@ -91,33 +101,37 @@ class MomentReport:
     sampling_sd: float | None       # standard error of the sampled lhs; None for 1 sample
 
 
+def _windows(t: int, delta: int, K: int) -> Iterator[tuple[int, int]]:
+    """The pieces [lo, hi) of (t, t+delta] to sieve, ascending, of at most
+    SEGMENT_SIZE cells, skipping the gaps no n^2 + k (n >= 1, k <= K) lands on."""
+    lo, top = t + 1, t + delta
+    while lo <= top:
+        s = math.isqrt(lo - 1)
+        if s < 1 or lo - s * s > K:     # lo lies in a gap: go to (s+1)^2 + 1
+            lo = (s + 1) ** 2 + 1
+            continue
+        yield lo, min(lo + SEGMENT_SIZE, top + 1)
+        lo += SEGMENT_SIZE
+
+
 def progression_sums(t: int, delta: int, K: int):
     """(A_k array, c_k array, stats) for the window (t, t+delta], k = 1..K.
 
-    The window is sieved SEGMENT_SIZE cells at a time, each sieve window
-    starting at the first cell at or after the previous one's end that some
-    n^2 + k lands on.  For each n, the odd m = n^2 + k in [a, b] add their
-    cells as one contiguous slice of the accumulator for k's parity, and each
-    power of 2 there adds log 2.  For a fixed k, m grows with n, so every A_k
-    is the plain sum of its terms in ascending n."""
+    The window is sieved in the pieces of _windows(t, delta, K).  For each n,
+    the odd m = n^2 + k in [a, b] add their cells as one contiguous slice of
+    the accumulator for k's parity, and each power of 2 there adds log 2.  For
+    a fixed k, m grows with n, so every A_k is the plain sum of its terms in
+    ascending n."""
     if t < 0 or delta < 0 or K < 1:
         raise ValueError("require t >= 0, delta >= 0, K >= 1")
     if t + delta + K >= INT63_CAP:
         raise OverflowError("window top exceeds the 2^63-1 cap")
-    top = t + delta
-    table = primes_up_to(math.isqrt(top) + 1) if delta else None
+    table = primes_up_to(math.isqrt(t + delta) + 1) if delta else None
     # An even n lands odd m only on odd k, an odd n only on even k, so each
     # parity of k gets its own contiguous accumulator: k sits at (k-1)//2.
     by_parity = (np.zeros((K + 1) // 2), np.zeros(K // 2))
     windows = cells = 0
-    lo = t + 1
-    while True:
-        s = math.isqrt(lo - 1)
-        if s < 1 or lo - s * s > K:     # lo lies in a gap: go to (s+1)^2 + 1
-            lo = (s + 1) ** 2 + 1
-        if lo > top:
-            break
-        hi = min(lo + SEGMENT_SIZE, top + 1)
+    for lo, hi in _windows(t, delta, K):
         win = sieve_window(lo, hi, table)
         odd, o, twos = win.odd, lo | 1, win.powers_of_two
         for n in range(math.isqrt(max(lo - K, 1)), math.isqrt(hi - 2) + 1):
@@ -136,7 +150,6 @@ def progression_sums(t: int, delta: int, K: int):
                     by_parity[1 - (k & 1)][(k - 1) // 2] += LOG2
         windows += 1
         cells += hi - lo
-        lo = hi
         del win, odd                    # free this window before sieving the next
     lambda_sums = np.empty(K)
     lambda_sums[0::2], lambda_sums[1::2] = by_parity
@@ -236,11 +249,10 @@ def full_window_moment(config: ScanConfig,
     if config.delta is not None and config.delta != config.z:
         raise ValueError("the full-window moment uses (z, 2z]; leave delta unset")
     scan = scan_all_k(config, P)
-    lhs = float((scan.residual * scan.residual).sum())
+    lhs = scan.residual_square_sum
     bound = config.K * config.z / config.log_power
     report = MomentReport(lhs=lhs, bound=bound, ratio=lhs / bound,
-                          exceptional_count=exceptional_set(scan.residual, config.z,
-                                                            config.B),
+                          exceptional_count=exceptional_set(scan.residual, config),
                           samples=[], sampling_sd=None, **scan.stats)
     return scan, report
 
@@ -269,13 +281,13 @@ def theorem2_moment(config: ScanConfig, P: int = DEFAULT_TRUNCATION,
     samples = []
     segments = cells = 0
     for t, scan in _window_scans(config, sample_points(config.z, t_samples, seed), P):
-        samples.append((t, float((scan.residual * scan.residual).sum())))
+        samples.append((t, scan.residual_square_sum))
         segments += scan.stats["segments"]
         cells += scan.stats["cells"]
         del scan                # free this sample's columns before the next scan
     inner = np.array([value for _, value in samples])
     lhs = config.z * float(inner.mean())
-    bound = config.delta**2 * config.K / config.log_power
+    bound = config.theorem2_bound
     sd = (float(inner.std(ddof=1)) * config.z / math.sqrt(t_samples)
           if t_samples > 1 else None)
     # exceptional counts are a full-window notion; see full_window_moment
@@ -284,7 +296,7 @@ def theorem2_moment(config: ScanConfig, P: int = DEFAULT_TRUNCATION,
                         samples=samples, sampling_sd=sd)
 
 
-def exceptional_set(residual: np.ndarray, z: int, B: float) -> int:
+def exceptional_set(residual: np.ndarray, config: ScanConfig) -> int:
     """Count of k whose residual exceeds sqrt(z) / (log z)^B in magnitude."""
-    threshold = math.sqrt(z) / math.log(z) ** B
+    threshold = math.sqrt(config.z) / config.log_power
     return int((np.abs(residual) > threshold).sum())

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import quadprimes.arith
 from oracles import (_ceil_sqrt, integer_nth_root, is_prime, perfect_power_base,
                      sieve_window_full, von_mangoldt)
 from quadprimes.arith import (INT63_CAP, euler_phi, isqrt_array, kronecker, mobius,
@@ -414,6 +415,20 @@ def test_sieve_window_rejects_small_table():
 def test_primes_up_to_examples():
     assert primes_up_to(10).primes.tolist() == [2, 3, 5, 7]
     assert primes_up_to(2).primes.tolist() == [2]
+
+
+def test_prime_table_over_the_cap_is_refused(monkeypatch):
+    monkeypatch.setattr(quadprimes.arith, "MAX_PRIME_LIMIT", 1000)
+    assert primes_up_to(1000).primes[-1] == 997
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        primes_up_to(1001)
+
+
+def test_prime_cap_admits_the_documented_runs():
+    # constant's default P, and moment1 --z=1e10 --K=1e5; not the table of z = 1e18
+    cap = quadprimes.arith.MAX_PRIME_LIMIT
+    assert 10**6 <= cap and math.isqrt(2 * 10**10 + 10**5) + 1 <= cap
+    assert math.isqrt(2 * 10**18 + 10**5) + 1 > cap
 
 
 def test_primes_up_to_million_count():

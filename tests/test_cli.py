@@ -1,7 +1,9 @@
 """Tests for the command-line runner: parsing, outputs, exit codes."""
 
 import hashlib
+import io
 import json
+import math
 import os
 import time
 import tracemalloc
@@ -9,6 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import quadprimes.arith as arith
 import quadprimes.cli as cli
 import quadprimes.scan as scan
 import quadprimes.singular as singular
@@ -376,9 +379,34 @@ def test_library_range_error_large_B_before_any_scan(tmp_path, capsys, monkeypat
 
 def test_summary_refuses_nan(tmp_path, monkeypatch):
     monkeypatch.setitem(cli._RUNNERS, "constant", lambda p: (
-        "P,value", (1, ["1,nan"].__getitem__), {"constant": float("nan")}))
+        "P,value", ([1], [float("nan")]), {"constant": float("nan")}))
     assert main(["constant", f"--out={tmp_path}"]) == 1
     assert not (tmp_path / "summary.json").exists()
+
+
+def test_write_rows_gives_the_repr_lines(monkeypatch):
+    ks = range(1, 7)
+    ints = np.array([0, -1, 2**62, 7, 8, 9], dtype=np.int64)
+    floats = np.array([-0.0, math.inf, math.nan, 5e-324, 1e16, 0.1])
+    texts = ["a", "x=1;y=2", "true", "", "7", "false"]
+    want = "".join(f"{k},{i},{x!r},{s}\n"
+                   for k, i, x, s in zip(ks, ints.tolist(), floats.tolist(), texts))
+    assert want.startswith("1,0,-0.0,a\n2,-1,inf,x=1;y=2\n3,4611686018427387904,nan,")
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 4)   # blocks split the rows 0-3 and 4-5
+    for splits in ((0, 6), (0, 3, 6), (0, 1, 5, 6)):
+        out = io.BytesIO()
+        for lo, hi in zip(splits, splits[1:]):
+            cli._write_rows(out, (ks, ints, floats, texts), lo, hi)
+        assert out.getvalue().decode() == want
+
+
+def test_prime_table_over_the_cap_exits_before_any_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(arith, "MAX_PRIME_LIMIT", 1000)
+    out = tmp_path / "out"
+    assert main(["constant", "--P=1001", f"--out={out}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: prime-table limit 1001 exceeds the cap 1e+03\n"
+    assert captured.out == "" and not out.exists()
 
 
 def test_library_range_error_singular_k_zero(tmp_path, capsys):

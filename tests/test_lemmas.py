@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+import quadprimes.lemmas
 from oracles import (mean_square_exact, polya_vinogradov_max, sieve_window_full,
                      von_mangoldt)
 from quadprimes.arith import euler_phi, kronecker, mobius, primes_up_to
@@ -189,6 +190,16 @@ def test_polya_vinogradov_observed_is_attained():
 def test_short_ap_rejects_common_factor():
     with pytest.raises(ValueError):
         short_ap_check(100, 10, 4, 2)
+
+
+@pytest.mark.parametrize("l", [0, -3])
+def test_short_ap_refuses_nonpositive_modulus_before_the_table(monkeypatch, l):
+    def no_table(limit):
+        raise AssertionError("a prime table was built")
+
+    monkeypatch.setattr(quadprimes.lemmas, "primes_up_to", no_table)
+    with pytest.raises(ValueError, match="l >= 1"):
+        short_ap_check(t=1000, delta=10, l=l, a=1)
 
 
 def test_short_ap_desk_scale():

@@ -13,7 +13,7 @@ import quadprimes.scan
 from oracles import (progression_sums_full, theorem2_exact_integral, von_mangoldt,
                      window_count, window_lambda_sum)
 from quadprimes.arith import INT63_CAP, SEGMENT_SIZE, primes_up_to
-from quadprimes.scan import (MomentReport, ScanConfig, exceptional_set,
+from quadprimes.scan import (MomentReport, ScanConfig, _windows, exceptional_set,
                              full_window_moment, progression_sums, sample_points,
                              scan_all_k, theorem2_moment)
 from quadprimes.singular import DEFAULT_TRUNCATION, batch_singular_values
@@ -161,6 +161,27 @@ def test_scan_sieves_only_cells_some_n2_plus_k_lands_on(monkeypatch, t, delta, K
     assert stats["cells"] == sum(t < m <= t + delta for m in landed)
 
 
+@pytest.mark.parametrize("t, delta, K, seg_size", [
+    (10**6, 10**5, 5000, 4096),     # dense: 2n + 1 < K, one run of pieces
+    (10**6, 10**5, 50, 4096),       # sparse: 2n + 1 > K
+    (10**6, 0, 50, 4096),           # empty
+    (10**6, 10**5, 50, 257),        # each gap is wider than a piece
+    (0, 5000, 3, 16),               # from t = 0, where isqrt(lo - 1) = 0 < 1
+])
+def test_windows_are_disjoint_pieces_covering_every_landing_cell(monkeypatch, t, delta,
+                                                                 K, seg_size):
+    monkeypatch.setattr(quadprimes.scan, "SEGMENT_SIZE", seg_size)
+    pieces = list(_windows(t, delta, K))
+    end = t + 1
+    for lo, hi in pieces:
+        assert end <= lo < hi <= t + delta + 1 and hi - lo <= seg_size
+        end = hi
+    landed = {n * n + k for n in range(1, math.isqrt(t + delta) + 1)
+              for k in range(1, K + 1) if t < n * n + k <= t + delta}
+    assert all(any(lo <= m < hi for lo, hi in pieces) for m in landed)
+    assert sum(hi - lo for lo, hi in pieces) == progression_sums(t, delta, K)[2]["cells"]
+
+
 def test_scan_degenerate_windows():
     lam, counts, _ = progression_sums(t=100, delta=0, K=5)
     assert lam.sum() == 0 and counts.sum() == 0
@@ -289,15 +310,16 @@ def test_sample_points_conventions():
 
 def test_exceptional_set():
     residual = np.array([0.0, 5.0, -50.0, 500.0])
-    assert exceptional_set(residual, z=10**6, B=0.0) == 0      # threshold 1000
-    assert exceptional_set(residual, z=10**6, B=1.0) == 1      # threshold ~72.4
-    assert exceptional_set(residual, z=10**6, B=2.0) == 2      # threshold ~5.24
-    assert exceptional_set(np.zeros(1), z=100, B=0.0) == 0
+    assert exceptional_set(residual, ScanConfig(z=10**6, K=4, B=0.0)) == 0  # threshold 1000
+    assert exceptional_set(residual, ScanConfig(z=10**6, K=4, B=1.0)) == 1  # threshold ~72.4
+    assert exceptional_set(residual, ScanConfig(z=10**6, K=4, B=2.0)) == 2  # threshold ~5.24
+    assert exceptional_set(np.zeros(1), ScanConfig(z=100, K=1, B=0.0)) == 0
 
 
 def test_exceptional_fraction_small_at_desk_scale():
-    scan = scan_all_k(ScanConfig(z=10**6, K=10**3))
-    frac = exceptional_set(scan.residual, z=10**6, B=0.0) / 10**3
+    config = ScanConfig(z=10**6, K=10**3, B=0.0)
+    scan = scan_all_k(config)
+    frac = exceptional_set(scan.residual, config) / 10**3
     assert frac < 0.20
 
 
