@@ -4,8 +4,8 @@ The unit group (Z/qZ)^x is decomposed into cyclic factors via CRT over the
 prime-power parts of q (the 2-power part uses the {-1, 5} generating pair).
 Characters are indexed by exponent vectors on those generators.  Their
 values, a dense length-q table per character since evaluation sits in the
-inner loop of the lemma checks, are computed for the whole group on the
-first read of any character's values.
+inner loop of the lemma checks, are built with the group: one matrix, of
+which each character stores its row.
 
 Conductors are exact integers read off the exponent vector, one prime power
 p^e of q at a time.  For odd p the local character has order m = m0 p^s with
@@ -18,9 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cache, partial
 
 import numpy as np
 
@@ -29,8 +27,8 @@ from .arith import euler_phi, factorize
 MAX_MODULUS = 10**4  # dense tables are phi(q) x q complex; keep q modest
 
 
-def _value_matrix(q: int, units: np.ndarray, expvec: np.ndarray,
-                  orders: list[int]) -> np.ndarray:
+def _character_values(q: int, units: np.ndarray, expvec: np.ndarray,
+                      orders: list[int]) -> np.ndarray:
     """values[i, x] of the character with exponent vector expvec[i] at x."""
     if orders:
         weights = expvec / np.asarray(orders, dtype=np.float64)
@@ -51,13 +49,7 @@ class Character:
     conductor: int
     is_primitive: bool
     is_principal: bool
-    _matrix: Callable[[], np.ndarray] = field(repr=False, compare=False)
-    _row: int = field(repr=False, compare=False)
-
-    @property
-    def values(self) -> np.ndarray:
-        """Length-q complex value table; 0 off the units."""
-        return self._matrix()[self._row]
+    values: np.ndarray = field(repr=False, compare=False)   # length q; 0 off the units
 
 
 @dataclass(frozen=True)
@@ -155,14 +147,13 @@ def build_character_group(q: int) -> CharacterTable:
         conductor *= _local_conductors(p, e, expvec[:, first:first + len(local)])
         first += len(local)
 
-    # one matrix for the whole group, computed on the first read of values
-    matrix = cache(partial(_value_matrix, q, units, expvec, orders))
+    values = _character_values(q, units, expvec, orders)
     chars = [Character(modulus=q,
                        exponent_vector=tuple(expvec[i].tolist()),
                        conductor=int(conductor[i]),
                        is_primitive=(int(conductor[i]) == q),
                        is_principal=not expvec[i].any(),
-                       _matrix=matrix, _row=i)
+                       values=values[i])
              for i in range(phi_q)]
     return CharacterTable(modulus=q, characters=chars)
 

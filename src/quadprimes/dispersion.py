@@ -63,8 +63,6 @@ def dispersion_profile(config: ScanConfig, P: int = DEFAULT_TRUNCATION,
     and of the combined term over [z, 2z], plus each term's deviation from
     the shared main term measured in units of E.
     """
-    if config.delta is None:
-        raise ValueError("the dispersion terms need delta")
     if config.delta < 1:
         raise ValueError("the dispersion terms need delta >= 1")
     ts = sorted(sample_points(config.z, grid_points, seed))

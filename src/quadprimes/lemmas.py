@@ -23,6 +23,7 @@ LS_AVG_C0 = 4.0      # worst dyadic-average large-sieve ratio (params "c0")
 MEAN_SQ_C0 = 2.0     # C0, the log power of both mean-square bounds
 SHORT_AP_TOL = 0.05  # relative deviation from delta/phi(l)
 PHI_AVG_C = 5.0      # deviation from (x/2) * constant, in units of log x
+_LEGENDRE_BLOCK = 1 << 20   # symbol-table reads per block of the Legendre sum
 
 
 @dataclass(frozen=True)
@@ -62,7 +63,9 @@ def legendre_sum_check(l: int) -> LemmaReport:
     symbols = np.array([kronecker(r, l) for r in range(l)], dtype=np.int64)
     sq = (np.arange(l, dtype=np.int64) ** 2) % l
     units = np.array([a for a in range(l) if math.gcd(a, l) == 1], dtype=np.int64)
-    observed = int(symbols[(sq[None, :] - units[:, None]) % l].sum())
+    rows = max(1, _LEGENDRE_BLOCK // l)     # units per block; every l <= 1000 takes one
+    observed = sum(int(symbols[(sq[None, :] - units[i:i + rows, None]) % l].sum())
+                   for i in range(0, len(units), rows))
     reference = mobius(l) * euler_phi(l)
     return _report("LEGENDRE_SUM", {"l": l}, observed, reference,
                    observed == reference)
@@ -185,9 +188,10 @@ def polya_vinogradov_check(q: int) -> LemmaReport:
 # ---------------------------------------------------------------------------
 
 def short_ap_check(t: int, delta: int, l: int, a: int) -> LemmaReport:
-    """Lambda-sum over n = a mod l in (t, t+delta] against delta/phi(l)."""
-    if t < 3 or delta < 1 or l < 1:
-        raise ValueError("require t >= 3, delta >= 1 and l >= 1")
+    """Lambda-sum over n = a mod l in (t, t+delta] against delta/phi(l).  l is
+    at most t + delta, so euler_phi(l) trial-divides no further than the table."""
+    if t < 3 or delta < 1 or not 1 <= l <= t + delta:
+        raise ValueError("require t >= 3, delta >= 1 and t + delta >= l >= 1")
     if math.gcd(a, l) != 1:
         raise ValueError(f"require gcd(a, l) = 1, got gcd({a}, {l}) = {math.gcd(a, l)}")
     table = primes_up_to(math.isqrt(t + delta) + 1)

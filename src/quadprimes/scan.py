@@ -15,6 +15,7 @@ candidate; the per-candidate route is the cross-check oracle in the tests.
 
 from __future__ import annotations
 
+import itertools
 import math
 import mmap
 import os
@@ -32,7 +33,7 @@ from .singular import DEFAULT_TRUNCATION, batch_singular_values
 
 @dataclass(frozen=True)
 class ScanConfig:
-    """Parameters of one scan: window (z, z+delta] (delta defaults to z)."""
+    """Parameters of one scan: window (z, z+delta]; an unset delta is stored as z."""
     z: int
     K: int
     delta: int | None = None
@@ -44,7 +45,9 @@ class ScanConfig:
             raise ValueError("z must be >= 3")
         if self.K < 1:
             raise ValueError("K must be >= 1")
-        if self.delta is not None and self.delta < 0:
+        if self.delta is None:
+            object.__setattr__(self, "delta", self.z)
+        if self.delta < 0:
             raise ValueError("delta must be non-negative")
         if not 0 <= self.B < math.inf:
             raise ValueError(f"B must be finite and >= 0, got {self.B}")
@@ -54,13 +57,9 @@ class ScanConfig:
             raise ValueError(f"B={self.B} is too large: (log z)^B overflows") from None
 
     @property
-    def window_delta(self) -> int:
-        return self.z if self.delta is None else self.delta
-
-    @property
     def theorem2_bound(self) -> float:
         """Theorem 2's bound Delta^2 K / (log z)^B on the t-integral."""
-        return self.window_delta**2 * self.K / self.log_power
+        return self.delta**2 * self.K / self.log_power
 
     def range_warnings(self) -> list[str]:
         """Advisory range checks; desk-scale runs may sit outside on purpose."""
@@ -68,7 +67,7 @@ class ScanConfig:
         if not math.sqrt(self.z) <= self.K <= self.z / 2:
             out.append(f"K={self.K} outside the intended range "
                        f"[z^(1/2), z/2] = [{math.sqrt(self.z):.0f}, {self.z / 2:.0f}]")
-        if self.delta is not None and not self.z ** (2 / 3) <= self.delta <= self.z:
+        if not self.z ** (2 / 3) <= self.delta <= self.z:
             out.append(f"delta={self.delta} outside the intended range "
                        f"[z^(2/3), z] = [{self.z ** (2 / 3):.0f}, {self.z}]")
         return out
@@ -215,11 +214,12 @@ def _window_scans(config: ScanConfig, ts: list[int],
     The run's S(k) is computed once and shared by every window's columns: by a
     worker, into shared memory, while a first window of _FORK_MIN_PIECES
     pieces or more is sieved; else, or if the worker fails, after that window."""
-    K, delta = config.K, config.window_delta
+    K, delta = config.K, config.delta
     shared = np.frombuffer(mmap.mmap(-1, 8 * K))
     singular = None
+    first_pieces = itertools.islice(_windows(ts[0], delta, K), _FORK_MIN_PIECES)
     with _worker(lambda: np.copyto(shared, batch_singular_values(K, P)),
-                 -(-delta // SEGMENT_SIZE) >= _FORK_MIN_PIECES) as join:
+                 len(list(first_pieces)) >= _FORK_MIN_PIECES) as join:
         for t in ts:
             lam, counts, stats = progression_sums(t, delta, K)
             if singular is None:
@@ -246,7 +246,7 @@ def full_window_moment(config: ScanConfig,
     Compared against the bound K z / (log z)^B; the report also counts the
     exceptional k (see exceptional_set).
     """
-    if config.delta is not None and config.delta != config.z:
+    if config.delta != config.z:
         raise ValueError("the full-window moment uses (z, 2z]; leave delta unset")
     scan = scan_all_k(config, P)
     lhs = scan.residual_square_sum
@@ -274,8 +274,6 @@ def theorem2_moment(config: ScanConfig, P: int = DEFAULT_TRUNCATION,
     The t-integral is approximated by z times the mean of the inner sum at
     t_samples points; the bound is Delta^2 K / (log z)^B.
     """
-    if config.delta is None:
-        raise ValueError("theorem2_moment requires delta")
     if config.delta < 1:
         raise ValueError("theorem2_moment requires delta >= 1")
     samples = []

@@ -288,8 +288,6 @@ def theorem2_exact_integral(config: ScanConfig, P: int = DEFAULT_TRUNCATION,
     the integral is the plain sum of the inner sums at j = z .. 2z-1.  Only
     offered at small z; the sampled estimator covers desk scale.
     """
-    if config.delta is None:
-        raise ValueError("exact integration requires delta")
     z, K, delta = config.z, config.K, config.delta
     if z > z_cap:
         raise ValueError(f"exact integration is capped at z <= {z_cap}")

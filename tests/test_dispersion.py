@@ -10,6 +10,7 @@ from oracles import (MTildeParams, identity_at, m_tilde, von_mangoldt,
                      window_count, window_lambda_sum)
 from quadprimes import dispersion, scan
 from quadprimes.arith import euler_phi
+from quadprimes.cli import main
 from quadprimes.dispersion import dispersion_profile, reference_error
 from quadprimes.scan import ScanConfig, theorem2_moment
 from quadprimes.singular import DEFAULT_TRUNCATION, batch_singular_values
@@ -73,10 +74,22 @@ def test_terms_vanish_for_empty_window(singular):
     assert s.U == s.V == s.W == s.combined == s.direct_square == 0.0
 
 
-def test_dispersion_refuses_a_config_without_delta():
-    p = ScanConfig(z=100, K=5)
-    with pytest.raises(ValueError, match="^the dispersion terms need delta$"):
-        dispersion_profile(p, grid_points=2)
+def test_dispersion_refuses_a_config_without_delta(tmp_path, capsys):
+    """The dispersion command refuses a run without --delta and writes
+    nothing; the library runs an unset delta as delta = z (below)."""
+    assert main(["dispersion", "--z=100", "--K=5", "--grid=2", f"--out={tmp_path}"]) == 1
+    assert not any(tmp_path.iterdir())
+    assert capsys.readouterr().err == "error: missing required key: delta\n"
+
+
+def test_unset_delta_runs_as_delta_z():
+    unset, explicit = ScanConfig(z=1000, K=30), ScanConfig(z=1000, K=30, delta=1000)
+    assert unset.delta == 1000
+    assert reference_error(unset) == reference_error(explicit)
+    assert (theorem2_moment(unset, t_samples=3, seed=1)
+            == theorem2_moment(explicit, t_samples=3, seed=1))
+    assert (dispersion_profile(unset, grid_points=4, seed=2)
+            == dispersion_profile(explicit, grid_points=4, seed=2))
 
 
 def test_dispersion_refuses_an_empty_window():

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,6 +53,17 @@ def test_legendre_sum_sweep_small():
             continue
         r = legendre_sum_check(l)
         assert r.passed and r.observed == mobius(l) * euler_phi(l), l
+
+
+def test_legendre_sum_runs_in_bounded_memory():
+    tracemalloc.start()
+    try:
+        r = legendre_sum_check(2003)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20e6         # one phi(l) x l index array would be 64 MB
+    assert r.observed == mobius(2003) * euler_phi(2003) == -2002 and r.passed
 
 
 def test_legendre_sum_rejections():
@@ -200,6 +212,19 @@ def test_short_ap_refuses_nonpositive_modulus_before_the_table(monkeypatch, l):
     monkeypatch.setattr(quadprimes.lemmas, "primes_up_to", no_table)
     with pytest.raises(ValueError, match="l >= 1"):
         short_ap_check(t=1000, delta=10, l=l, a=1)
+
+
+def test_short_ap_refuses_a_modulus_above_the_window_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("work was done")
+
+    monkeypatch.setattr(quadprimes.lemmas, "primes_up_to", no_work)
+    monkeypatch.setattr(quadprimes.lemmas, "euler_phi", no_work)
+    for l in (1011, 10**18 + 9):
+        with pytest.raises(ValueError, match=r"t \+ delta >= l"):
+            short_ap_check(t=1000, delta=10, l=l, a=1)
+    monkeypatch.undo()
+    assert short_ap_check(t=1000, delta=10, l=1010, a=1).reference == 10 / euler_phi(1010)
 
 
 def test_short_ap_desk_scale():

@@ -1,6 +1,7 @@
 """Tests for the progression scanner and the moment statistics."""
 
 import math
+import os
 import random
 import tracemalloc
 
@@ -13,6 +14,7 @@ import quadprimes.scan
 from oracles import (progression_sums_full, theorem2_exact_integral, von_mangoldt,
                      window_count, window_lambda_sum)
 from quadprimes.arith import INT63_CAP, SEGMENT_SIZE, primes_up_to
+from quadprimes.cli import main
 from quadprimes.scan import (MomentReport, ScanConfig, _windows, exceptional_set,
                              full_window_moment, progression_sums, sample_points,
                              scan_all_k, theorem2_moment)
@@ -234,9 +236,12 @@ def test_theorem2_full_window_matches_theorem1():
     assert m2.lhs / 1000 == pytest.approx(m1.lhs, rel=1e-12)
 
 
-def test_theorem2_requires_delta():
-    with pytest.raises(ValueError):
-        theorem2_moment(ScanConfig(z=1000, K=30))
+def test_theorem2_requires_delta(tmp_path, capsys):
+    """The moment2 command refuses a run without --delta and writes nothing;
+    the library runs an unset delta as delta = z (see test_dispersion)."""
+    assert main(["moment2", "--z=1000", "--K=30", f"--out={tmp_path}"]) == 1
+    assert not any(tmp_path.iterdir())
+    assert capsys.readouterr().err == "error: missing required key: delta\n"
 
 
 def test_theorem2_refuses_an_empty_window():
@@ -289,6 +294,22 @@ def test_theorem2_peak_memory_does_not_grow_with_samples(monkeypatch):
         finally:
             tracemalloc.stop()
     assert peaks[16] <= 1.1 * peaks[1]
+
+
+def test_fork_follows_the_pieces_the_walker_gives(monkeypatch):
+    """A sparse first window whose Delta spans two SEGMENT_SIZE pieces but
+    whose landing cells fit in one starts no worker; a dense one does."""
+    def refused():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(quadprimes.scan, "SEGMENT_SIZE", 16)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "fork", refused)
+    assert list(_windows(1020, 17, 1)) == [(1025, 1038)]    # only 32^2 + 1 lands
+    assert theorem2_moment(ScanConfig(z=1020, K=1, delta=17), t_samples=1).segments == 1
+    assert list(_windows(1020, 17, 100)) == [(1021, 1037), (1037, 1038)]
+    with pytest.raises(AssertionError, match="^forked$"):
+        theorem2_moment(ScanConfig(z=1020, K=100, delta=17), t_samples=1)
 
 
 def test_theorem2_exact_integral_matches_dense_sampling():
