@@ -1,7 +1,6 @@
 """Desk-scale numerical laboratory for primes in quadratic progressions n^2 + k."""
 
-from .arith import (PrimeTable, SieveWindow, euler_phi, kronecker, mobius,
-                    primes_up_to, sieve_window)
+from .arith import PrimeTable, SieveWindow, euler_phi, mobius, primes_up_to, sieve_window
 from .characters import (Character, CharacterTable, build_character_group,
                          primitive_characters)
 from .dispersion import (DispersionSample, dispersion_profile, identity_check,
@@ -18,8 +17,8 @@ from .singular import (batch_singular_values, class_numbers, main_term_constant,
 __version__ = "0.1.0"
 
 __all__ = [
-    "PrimeTable", "SieveWindow", "euler_phi", "kronecker", "mobius",
-    "primes_up_to", "sieve_window",
+    "PrimeTable", "SieveWindow", "euler_phi", "mobius", "primes_up_to",
+    "sieve_window",
     "Character", "CharacterTable", "build_character_group",
     "primitive_characters",
     "batch_singular_values", "class_numbers", "main_term_constant",

@@ -1,7 +1,6 @@
 """Exact integer arithmetic kernel.
 
 Provides:
-- Kronecker symbol (Legendre/Jacobi extended to arbitrary non-negative modulus)
 - trial-division factorization, Mobius function, Euler totient
 - exact elementwise integer square roots of int64 arrays
 - prime tables and segmented sieve windows carrying Lambda on odd integers
@@ -21,42 +20,6 @@ import numpy as np
 # All scanned quantities (n^2 + k, window tops) must stay below 2^63 so that
 # int64 array arithmetic is exact.
 INT63_CAP = 2**63 - 1
-
-
-def kronecker(a: int, n: int) -> int:
-    """Kronecker symbol (a/n) for n >= 0.
-
-    Equals the Legendre symbol when n is an odd prime, is completely
-    multiplicative in n, and is 0 iff gcd(a, n) > 1 (for n >= 1).
-    The factor (a/2) follows the standard convention: 0 for even a,
-    +1 for a = +-1 mod 8, -1 for a = +-3 mod 8.
-    """
-    if n < 0:
-        raise ValueError("modulus must be non-negative")
-    if n == 0:
-        return 1 if a in (1, -1) else 0
-    result = 1
-    twos = 0
-    while n % 2 == 0:
-        n //= 2
-        twos += 1
-    if twos:
-        if a % 2 == 0:
-            return 0
-        if twos % 2 == 1 and a % 8 in (3, 5):
-            result = -result
-    # Jacobi symbol for the remaining odd n, by binary reciprocity.
-    a %= n
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
 
 
 def factorize(n: int) -> list[tuple[int, int]]:

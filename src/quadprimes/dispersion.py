@@ -19,10 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scan import ScanColumns, ScanConfig, _window_scans, sample_points
+from .scan import ScanColumns, ScanConfig, _t_integral, _window_scans, sample_points
 from .singular import CONSTANT_TRUNCATION, DEFAULT_TRUNCATION, main_term_constant
-
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy 2.x / 1.x
 
 
 def reference_error(config: ScanConfig) -> float:
@@ -59,9 +57,9 @@ def dispersion_profile(config: ScanConfig, P: int = DEFAULT_TRUNCATION,
     """Sample U, V, W, the identity and the main term at the sorted
     sample_points(z, grid_points, seed).
 
-    Returns (samples, summary): trapezoid estimates of the three integrals
-    and of the combined term over [z, 2z], plus each term's deviation from
-    the shared main term measured in units of E.
+    Returns (samples, summary): the three integrals and the combined one over
+    [z, 2z], estimated as theorem2_moment estimates its lhs, plus each term's
+    deviation from the shared main term measured in units of E.
     """
     if config.delta < 1:
         raise ValueError("the dispersion terms need delta >= 1")
@@ -70,13 +68,10 @@ def dispersion_profile(config: ScanConfig, P: int = DEFAULT_TRUNCATION,
     samples = [identity_check(config, t, scan, constant)
                for t, scan in _window_scans(config, ts, P)]
     E = reference_error(config)
-
-    ts = np.asarray(ts, dtype=np.float64)
     summary: dict = {"E": E}
     for name in ("U", "V", "W", "combined"):
-        vals = np.asarray([getattr(s, name) for s in samples])
-        summary[f"integral_{name}"] = float(
-            _trapezoid(vals, ts) if len(samples) > 1 else vals[0] * config.z)
+        summary[f"integral_{name}"] = _t_integral(
+            config.z, [getattr(s, name) for s in samples])[0]
     mains = np.asarray([s.main_term for s in samples])
     for name in ("U", "V", "W"):
         vals = np.asarray([getattr(s, name) for s in samples])

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import euler_phi, kronecker, mobius, primes_array, primes_up_to, sieve_window
-from .characters import build_character_group, primitive_characters
+from .arith import euler_phi, factorize, mobius, primes_array, primes_up_to, sieve_window
+from .characters import MAX_MODULUS, build_character_group, primitive_characters
 from .scan import _windows
 from .singular import CONSTANT_TRUNCATION, main_term_constant
 
@@ -48,21 +48,34 @@ def _report(lemma_id, params, observed, reference, passed, seed=None):
 # Exact identities
 # ---------------------------------------------------------------------------
 
+def _jacobi_table(l: int) -> np.ndarray:
+    """(r/l) for r = 0..l-1 and odd square-free l: the product over p | l of
+    the Legendre table of p, read off the squares mod p."""
+    table = np.ones(l, dtype=np.int64)
+    for p, _ in factorize(l):
+        legendre = np.full(p, -1, dtype=np.int64)
+        legendre[np.arange(1, (p + 1) // 2) ** 2 % p] = 1
+        legendre[0] = 0
+        table *= np.tile(legendre, l // p)
+    return table
+
+
 def legendre_sum_check(l: int) -> LemmaReport:
     """sum_{(a,l)=1} sum_{m mod l} ((m^2 - a)/l) against mu(l) phi(l), exactly.
 
     Defined for odd square-free l: the quadratic symbol with even modulus is
-    not periodic mod l, so the double sum would be ill-posed there.
+    not periodic mod l, so the double sum would be ill-posed there.  The work
+    is phi(l) l, so l is capped at characters.MAX_MODULUS.
     """
-    if l < 1:
-        raise ValueError("l must be positive")
+    if not 1 <= l <= MAX_MODULUS:
+        raise ValueError(f"l must be in 1..{MAX_MODULUS}, got {l}")
     if l % 2 == 0:
         raise ValueError("l must be odd (the symbol sum is ill-posed for even moduli)")
     if mobius(l) == 0:
         raise ValueError("l must be square-free")
-    symbols = np.array([kronecker(r, l) for r in range(l)], dtype=np.int64)
+    symbols = _jacobi_table(l)
     sq = (np.arange(l, dtype=np.int64) ** 2) % l
-    units = np.array([a for a in range(l) if math.gcd(a, l) == 1], dtype=np.int64)
+    units = np.flatnonzero(symbols)         # l is square-free: (a/l) != 0 iff (a, l) = 1
     rows = max(1, _LEGENDRE_BLOCK // l)     # units per block; every l <= 1000 takes one
     observed = sum(int(symbols[(sq[None, :] - units[i:i + rows, None]) % l].sum())
                    for i in range(0, len(units), rows))
@@ -213,6 +226,8 @@ def _mean_square(lemma_id: str, square, z: int, delta_exp: float, M_frac: float,
     Lambda on (t, t+M], against delta^2 / (log z)^C0 with delta = z^delta_exp
     and M = M_frac delta; extra holds the caller's own parameters.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     delta = int(round(z**delta_exp))
     M = int(round(M_frac * delta))
     if not 0 <= M <= delta:
@@ -250,7 +265,10 @@ def mean_square_twisted_check(z: int, delta_exp: float = 0.4, M_frac: float = 1.
                               samples: int = 200, seed: int = 0) -> LemmaReport:
     """As mean_square_check but for |sum Lambda(n) chi(n)|^2 with no main
     term, for a non-principal chi mod q."""
-    chi = build_character_group(q).characters[chi_index]
+    characters = build_character_group(q).characters
+    if not 0 <= chi_index < len(characters):
+        raise ValueError(f"chi_index={chi_index} outside 0..{len(characters) - 1}")
+    chi = characters[chi_index]
     if chi.is_principal:
         raise ValueError("chi must be non-principal")
 

@@ -267,6 +267,14 @@ def sample_points(z: int, t_samples: int, seed: int | None = None) -> list[int]:
     return [int(v) for v in rng.integers(z, 2 * z, size=t_samples)]
 
 
+def _t_integral(z: int, values: list[float]) -> tuple[float, float | None]:
+    """int_z^{2z} of a function sampled at len(values) points of [z, 2z):
+    z times their mean, and its standard error (None for one point)."""
+    inner = np.array(values)
+    sd = float(inner.std(ddof=1)) * z / math.sqrt(inner.size) if inner.size > 1 else None
+    return z * float(inner.mean()), sd
+
+
 def theorem2_moment(config: ScanConfig, P: int = DEFAULT_TRUNCATION,
                     t_samples: int = 16, seed: int | None = None) -> MomentReport:
     """Short-segment moment: estimates int_z^{2z} sum_k |...|^2 dt by sampling.
@@ -283,11 +291,8 @@ def theorem2_moment(config: ScanConfig, P: int = DEFAULT_TRUNCATION,
         segments += scan.stats["segments"]
         cells += scan.stats["cells"]
         del scan                # free this sample's columns before the next scan
-    inner = np.array([value for _, value in samples])
-    lhs = config.z * float(inner.mean())
+    lhs, sd = _t_integral(config.z, [value for _, value in samples])
     bound = config.theorem2_bound
-    sd = (float(inner.std(ddof=1)) * config.z / math.sqrt(t_samples)
-          if t_samples > 1 else None)
     # exceptional counts are a full-window notion; see full_window_moment
     return MomentReport(lhs=lhs, bound=bound, ratio=lhs / bound,
                         exceptional_count=None, segments=segments, cells=cells,

@@ -1,7 +1,7 @@
 """Singular series for the quadratic progressions n^2 + k.
 
 S(k) is the Euler product over odd primes of (1 - chi(p)/(p-1)), where
-chi = (D/.) is the Kronecker symbol of D = -4k; on odd p it equals (-k/p).
+chi = (D/.) is the quadratic character of D = -4k; on odd p it equals (-k/p).
 That product converges only conditionally.  Dividing each factor by
 (1 - chi(p)/p) leaves factors f_p = 1 - 1/(p-1)^2, 1 or 1 + 1/(p^2-1), whose
 product converges absolutely, and what was divided out is 1/L(1, chi).  The

@@ -143,6 +143,46 @@ def progression_sums_full(t: int, delta: int, K: int, table: PrimeTable) -> np.n
 
 
 # ---------------------------------------------------------------------------
+# Kronecker symbol, by binary reciprocity
+# ---------------------------------------------------------------------------
+
+def kronecker(a: int, n: int) -> int:
+    """Kronecker symbol (a/n) for n >= 0.
+
+    Equals the Legendre symbol when n is an odd prime, is completely
+    multiplicative in n, and is 0 iff gcd(a, n) > 1 (for n >= 1).
+    The factor (a/2) follows the standard convention: 0 for even a,
+    +1 for a = +-1 mod 8, -1 for a = +-3 mod 8.
+    """
+    if n < 0:
+        raise ValueError("modulus must be non-negative")
+    if n == 0:
+        return 1 if a in (1, -1) else 0
+    result = 1
+    twos = 0
+    while n % 2 == 0:
+        n //= 2
+        twos += 1
+    if twos:
+        if a % 2 == 0:
+            return 0
+        if twos % 2 == 1 and a % 8 in (3, 5):
+            result = -result
+    # Jacobi symbol for the remaining odd n, by binary reciprocity.
+    a %= n
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+# ---------------------------------------------------------------------------
 # Dirichlet characters
 # ---------------------------------------------------------------------------
 

@@ -9,10 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import quadprimes.arith
-from oracles import (_ceil_sqrt, integer_nth_root, is_prime, perfect_power_base,
-                     sieve_window_full, von_mangoldt)
-from quadprimes.arith import (INT63_CAP, euler_phi, isqrt_array, kronecker, mobius,
-                              primes_up_to, sieve_window)
+from oracles import (_ceil_sqrt, integer_nth_root, is_prime, kronecker,
+                     perfect_power_base, sieve_window_full, von_mangoldt)
+from quadprimes.arith import (INT63_CAP, euler_phi, isqrt_array, mobius, primes_up_to,
+                              sieve_window)
 
 # the largest r with r^2 <= 2^63 - 1
 ROOT_CAP = math.isqrt(INT63_CAP)

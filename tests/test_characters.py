@@ -6,8 +6,8 @@ import random
 import numpy as np
 import pytest
 
-from oracles import conductors_by_induction, evaluate
-from quadprimes.arith import euler_phi, kronecker, mobius
+from oracles import conductors_by_induction, evaluate, kronecker
+from quadprimes.arith import euler_phi, mobius
 from quadprimes.characters import build_character_group, primitive_characters
 
 

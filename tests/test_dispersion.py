@@ -246,6 +246,17 @@ def test_profile_grid_and_summary():
     assert summary["integral_combined"] >= 0.0
 
 
+@pytest.mark.parametrize("seed", [None, 3])
+def test_profile_integral_is_the_theorem2_estimate(seed):
+    """The combined integral and its ratio to the bound are moment2's lhs and
+    ratio at the same points, sorted or not."""
+    p = ScanConfig(z=3000, K=25, delta=600, B=1.5)
+    _, summary = dispersion_profile(p, grid_points=12, seed=seed)
+    report = theorem2_moment(p, t_samples=12, seed=seed)
+    assert summary["integral_combined"] == pytest.approx(report.lhs, rel=1e-9)
+    assert summary["combined_integral_over_bound"] == pytest.approx(report.ratio, rel=1e-9)
+
+
 def test_profile_seeded_grid_reproducible():
     p = ScanConfig(z=2000, K=10, delta=300)
     _, s1 = dispersion_profile(p, grid_points=6, seed=5)

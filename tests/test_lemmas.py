@@ -7,11 +7,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import quadprimes.arith
 import quadprimes.lemmas
-from oracles import (mean_square_exact, polya_vinogradov_max, sieve_window_full,
-                     von_mangoldt)
-from quadprimes.arith import euler_phi, kronecker, mobius, primes_up_to
-from quadprimes.lemmas import (default_grid, large_sieve_avg_check,
+from oracles import (kronecker, mean_square_exact, polya_vinogradov_max,
+                     sieve_window_full, von_mangoldt)
+from quadprimes.arith import euler_phi, mobius, primes_up_to
+from quadprimes.characters import MAX_MODULUS
+from quadprimes.lemmas import (_jacobi_table, default_grid, large_sieve_avg_check,
                                large_sieve_single_check, legendre_sum_check,
                                mean_square_check, mean_square_twisted_check, phi_average_check,
                                phi_average_sum, polya_vinogradov_check,
@@ -64,6 +66,24 @@ def test_legendre_sum_runs_in_bounded_memory():
         tracemalloc.stop()
     assert peak <= 20e6         # one phi(l) x l index array would be 64 MB
     assert r.observed == mobius(2003) * euler_phi(2003) == -2002 and r.passed
+
+
+def test_jacobi_table_matches_kronecker():
+    for l in [1, *range(3, 1001, 2)]:
+        if mobius(l) == 0:
+            continue
+        assert _jacobi_table(l).tolist() == [kronecker(r, l) for r in range(l)], l
+
+
+def test_legendre_sum_refuses_l_above_the_cap_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("factorized an l above the cap")
+
+    # mobius(l) is the check's first factorization; the symbol table's comes after
+    monkeypatch.setattr(quadprimes.arith, "factorize", no_work)
+    for l in (MAX_MODULUS + 1, 10007, 10**18 + 9):
+        with pytest.raises(ValueError, match=f"^l must be in 1..{MAX_MODULUS}, got {l}$"):
+            legendre_sum_check(l)
 
 
 def test_legendre_sum_rejections():
@@ -293,6 +313,23 @@ def test_mean_square_desk_scale_pass():
 def test_mean_square_twisted_rejects_principal():
     with pytest.raises(ValueError):
         mean_square_twisted_check(z=10**4, q=3, chi_index=0, samples=5, seed=0)
+
+
+def test_mean_square_refuses_no_samples_before_the_table(monkeypatch):
+    def no_table(limit):
+        raise AssertionError("built a prime table for no samples")
+
+    monkeypatch.setattr(quadprimes.lemmas, "primes_up_to", no_table)
+    for check in (mean_square_check, mean_square_twisted_check):
+        for samples in (0, -1):
+            with pytest.raises(ValueError, match=f"^samples must be >= 1, got {samples}$"):
+                check(z=10**6, samples=samples)
+
+
+def test_mean_square_twisted_refuses_a_chi_index_out_of_range():
+    for chi_index in (-1, 2, 100):          # phi(3) = 2 characters mod 3
+        with pytest.raises(ValueError, match=rf"^chi_index={chi_index} outside 0\.\.1"):
+            mean_square_twisted_check(z=10**4, q=3, chi_index=chi_index, samples=5)
 
 
 def test_mean_square_invalid_window():

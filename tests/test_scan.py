@@ -15,6 +15,7 @@ from oracles import (progression_sums_full, theorem2_exact_integral, von_mangold
                      window_count, window_lambda_sum)
 from quadprimes.arith import INT63_CAP, SEGMENT_SIZE, primes_up_to
 from quadprimes.cli import main
+from quadprimes.dispersion import dispersion_profile
 from quadprimes.scan import (MomentReport, ScanConfig, _windows, exceptional_set,
                              full_window_moment, progression_sums, sample_points,
                              scan_all_k, theorem2_moment)
@@ -317,6 +318,8 @@ def test_theorem2_exact_integral_matches_dense_sampling():
     exact = theorem2_exact_integral(cfg)
     dense = theorem2_moment(cfg, t_samples=500)  # left endpoints cover every j
     assert exact == pytest.approx(dense.lhs, rel=1e-9)
+    _, profile = dispersion_profile(cfg, grid_points=500)
+    assert exact == pytest.approx(profile["integral_combined"], rel=1e-9)
     with pytest.raises(ValueError):
         theorem2_exact_integral(ScanConfig(z=10**7, K=5, delta=10))
 

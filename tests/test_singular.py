@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import (class_number_formula_batch, correction_log_sum,
+from oracles import (class_number_formula_batch, correction_log_sum, kronecker,
                      lower_bound_diagnostic, per_prime_table_batch,
                      reduced_form_class_numbers)
 from quadprimes.singular import (DEFAULT_TRUNCATION, _factor_logs,
@@ -128,7 +128,6 @@ def test_positivity():
 
 
 def test_factor_range():
-    from quadprimes.arith import kronecker
     for k in (1, 2, 7, 16, 30, 1001):
         for p in (3, 5, 7, 11, 13, 97, 499):
             factor = 1.0 - kronecker(-k, p) / (p - 1)
