@@ -2,8 +2,8 @@
 
 Provides:
 - trial-division factorization, Mobius function, Euler totient
-- exact elementwise integer square roots of int64 arrays
-- prime tables and segmented sieve windows carrying Lambda on odd integers
+- prime tables and segmented sieve windows carrying Lambda on the odd
+  prime powers
 
 Everything downstream (singular series, progression scans, dispersion terms,
 lemma checks) is built on these primitives; Lambda is only ever evaluated
@@ -70,22 +70,6 @@ def euler_phi(n: int) -> int:
     return phi
 
 
-def isqrt_array(x: np.ndarray) -> np.ndarray:
-    """Exact elementwise floor(sqrt) for a non-negative int64 array.
-
-    float64 sqrt gets within 1 of the truth for the full int64 range, so a
-    single +-1 correction pass makes the result exact.  It compares s with
-    x // s, since squares near 2^63 overflow int64.
-    """
-    x = np.asarray(x, dtype=np.int64)
-    if x.size and int(x.min()) < 0:
-        raise ValueError("negative input")
-    s = np.sqrt(x.astype(np.float64)).astype(np.int64)
-    s -= s > x // np.maximum(s, 1)      # s^2 > x
-    s += s + 1 <= x // (s + 1)          # (s+1)^2 <= x
-    return s
-
-
 # ---------------------------------------------------------------------------
 # Prime tables
 # ---------------------------------------------------------------------------
@@ -138,24 +122,26 @@ def primes_up_to(limit: int) -> PrimeTable:
 # Sieve windows
 # ---------------------------------------------------------------------------
 
-# Cells per sieve window of a long scan.  glibc serves a block under 32 MiB
-# from its resident heap once one that size was freed: 4M-cell windows left
-# ~15 MB.
-SEGMENT_SIZE = 1 << 20
+# Cells per sieve window of a long scan.  A window keeps one flag byte per odd
+# cell while it sieves (1 MB, inside a 2 MB per-core L2) and 16 bytes per odd
+# prime power after; 4M-cell windows were no faster at z = 1e8.
+SEGMENT_SIZE = 1 << 21
 LOG2 = math.log(2)
 
 
 @dataclass(frozen=True)
 class SieveWindow:
-    """Von Mangoldt data for [lo, hi), stored for the odd integers only.
+    """Von Mangoldt data for [lo, hi), stored for the odd prime powers only.
 
-    odd[j] = Lambda(o + 2j) (natural log) with o = lo | 1; an odd m is prime
-    exactly when its cell holds log(m).  An even m has Lambda(m) = log 2 if it
-    is a power of 2 (listed by `powers_of_two`) and 0 otherwise.
+    With o = lo | 1, pos holds in ascending order the cells j of the odd prime
+    powers o + 2j in [lo, hi), and val[i] = Lambda(o + 2 pos[i]) (natural
+    log); every other odd m has Lambda(m) = 0.  An even m has Lambda(m) =
+    log 2 if it is a power of 2 (listed by `powers_of_two`) and 0 otherwise.
     """
     lo: int
     hi: int
-    odd: np.ndarray
+    pos: np.ndarray
+    val: np.ndarray
 
     @property
     def powers_of_two(self) -> list[int]:
@@ -171,11 +157,9 @@ class SieveWindow:
     def cells(self, start: int, step: int) -> np.ndarray:
         """Lambda(m) for m = start, start + step, ... below hi (start >= lo)."""
         out = np.zeros(len(range(start, self.hi, step)), dtype=np.float64)
-        first = start if start % 2 else start + step    # odd unless step is even
-        by = 1 + step % 2                               # terms per odd m
-        if first % 2:
-            j = (first - (self.lo | 1)) // 2
-            out[(first - start) // step:: by] = self.odd[j:: step * by // 2]
+        odd = 2 * self.pos + (self.lo | 1)
+        on = (odd >= start) & ((odd - start) % step == 0)
+        out[(odd[on] - start) // step] = self.val[on]
         for m in self.powers_of_two:
             if m >= start and (m - start) % step == 0:
                 out[(m - start) // step] = LOG2
@@ -189,7 +173,8 @@ def sieve_window(lo: int, hi: int, table: PrimeTable) -> SieveWindow:
     miss composite witnesses and mislabel composites as prime.  An odd prime
     p at least as large as the odd-cell count strikes at most one cell, so
     all such p strike in one indexed write; only smaller p loop.  Prime
-    powers come from two binary searches, in ps and in the table's powers."""
+    powers come from two binary searches, in ps and in the table's powers:
+    their cells are flagged with the primes, then take log p for log m."""
     if not 2 <= lo < hi:
         raise ValueError("require 2 <= lo < hi")
     if hi - 1 > INT63_CAP:
@@ -210,13 +195,14 @@ def sieve_window(lo: int, hi: int, table: PrimeTable) -> SieveWindow:
         flags[j:: p] = False
     once = starts[small:]
     flags[once[once < size]] = False
-    odd = np.zeros(size, dtype=np.float64)
-    idx = np.flatnonzero(flags)
-    odd[idx] = np.log((2 * idx + o).astype(np.float64))
     # odd prime powers: squares from the tail of ps, p^e (e >= 3) from the table
     sq = int(np.searchsorted(ps, math.isqrt(o - 1), side="right"))
     i, j = np.searchsorted(table.powers, (o - 1, hi - 1), side="right").tolist()
-    for p, m in zip(ps[sq:].tolist() + table.bases[i:j].tolist(),
-                    pe[sq:].tolist() + table.powers[i:j].tolist()):
-        odd[(m - o) // 2] = math.log(p)
-    return SieveWindow(lo=lo, hi=hi, odd=odd)
+    power_cells = (np.concatenate((pe[sq:], table.powers[i:j])) - o) // 2
+    flags[power_cells] = True
+    pos = np.flatnonzero(flags)
+    del flags
+    val = np.log((2 * pos + o).astype(np.float64))
+    val[np.searchsorted(pos, power_cells)] = [
+        math.log(p) for p in ps[sq:].tolist() + table.bases[i:j].tolist()]
+    return SieveWindow(lo=lo, hi=hi, pos=pos, val=val)

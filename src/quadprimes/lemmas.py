@@ -220,14 +220,18 @@ def short_ap_check(t: int, delta: int, l: int, a: int) -> LemmaReport:
                    abs(observed / reference - 1.0) <= SHORT_AP_TOL)
 
 
+def _require_samples(samples: int) -> None:
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+
+
 def _mean_square(lemma_id: str, square, z: int, delta_exp: float, M_frac: float,
                  samples: int, seed: int, extra: dict) -> LemmaReport:
     """Monte-Carlo mean over t in (z, 2z] of square(t, M, lam), where lam is
     Lambda on (t, t+M], against delta^2 / (log z)^C0 with delta = z^delta_exp
-    and M = M_frac delta; extra holds the caller's own parameters.
+    and M = M_frac delta; extra holds the caller's own parameters.  The
+    caller has checked samples with _require_samples.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
     delta = int(round(z**delta_exp))
     M = int(round(M_frac * delta))
     if not 0 <= M <= delta:
@@ -254,6 +258,8 @@ def mean_square_check(z: int, delta_exp: float = 0.4, M_frac: float = 1.0,
     """Monte-Carlo mean of |psi(t+M) - psi(t) - M|^2 over t in (z, 2z]
     against delta^2 / (log z)^C0, with delta = z^delta_exp and M = M_frac delta.
     """
+    _require_samples(samples)
+
     def square(t, M, lam):
         return (float(lam.sum()) - M) ** 2
 
@@ -265,10 +271,11 @@ def mean_square_twisted_check(z: int, delta_exp: float = 0.4, M_frac: float = 1.
                               samples: int = 200, seed: int = 0) -> LemmaReport:
     """As mean_square_check but for |sum Lambda(n) chi(n)|^2 with no main
     term, for a non-principal chi mod q."""
-    characters = build_character_group(q).characters
-    if not 0 <= chi_index < len(characters):
-        raise ValueError(f"chi_index={chi_index} outside 0..{len(characters) - 1}")
-    chi = characters[chi_index]
+    _require_samples(samples)
+    # the group takes about 40 q^2 bytes: refuse a bad chi_index before it
+    if 1 <= q <= MAX_MODULUS and not 0 <= chi_index < euler_phi(q):
+        raise ValueError(f"chi_index={chi_index} outside 0..{euler_phi(q) - 1}")
+    chi = build_character_group(q).characters[chi_index]
     if chi.is_principal:
         raise ValueError("chi must be non-principal")
 

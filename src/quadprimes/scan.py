@@ -3,7 +3,7 @@
 For a window (t, t+delta] and every shift k <= K this computes
 
     A_k = sum of Lambda(n^2 + k) over n >= 1 with t < n^2 + k <= t + delta
-    c_k = count of such n (exact, via integer square roots)
+    c_k = count of such n (exact, from the k-interval of each n)
 
 The scan iterates over n: the admissible m = n^2 + k form a contiguous
 integer interval of length <= K, so Lambda is evaluated on sieve windows of
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import INT63_CAP, LOG2, SEGMENT_SIZE, isqrt_array, primes_up_to, sieve_window
+from .arith import INT63_CAP, LOG2, SEGMENT_SIZE, primes_up_to, sieve_window
 from .singular import DEFAULT_TRUNCATION, batch_singular_values
 
 
@@ -117,46 +117,50 @@ def progression_sums(t: int, delta: int, K: int):
     """(A_k array, c_k array, stats) for the window (t, t+delta], k = 1..K.
 
     The window is sieved in the pieces of _windows(t, delta, K).  For each n,
-    the odd m = n^2 + k in [a, b] add their cells as one contiguous slice of
-    the accumulator for k's parity, and each power of 2 there adds log 2.  For
-    a fixed k, m grows with n, so every A_k is the plain sum of its terms in
-    ascending n."""
+    the odd prime powers m = n^2 + k in [a, b] add their Lambda to the
+    accumulator for k's parity in one unbuffered np.add.at, which meets each
+    k once, and each power of 2 there adds log 2.  For a fixed k, m grows
+    with n, so every A_k is the plain sum of its terms in ascending n.  n
+    counts in c_k for k in (t - n^2, t + delta - n^2], so c_k is the running
+    sum of the starts and ends of those intervals, clipped to [1, K]."""
     if t < 0 or delta < 0 or K < 1:
         raise ValueError("require t >= 0, delta >= 0, K >= 1")
     if t + delta + K >= INT63_CAP:
         raise OverflowError("window top exceeds the 2^63-1 cap")
     table = primes_up_to(math.isqrt(t + delta) + 1) if delta else None
     # An even n lands odd m only on odd k, an odd n only on even k, so each
-    # parity of k gets its own contiguous accumulator: k sits at (k-1)//2.
-    by_parity = (np.zeros((K + 1) // 2), np.zeros(K // 2))
+    # parity of k gets its own view of A: k sits at (k-1)//2 in it.
+    lambda_sums = np.zeros(K)
+    by_parity = lambda_sums[0::2], lambda_sums[1::2]
     windows = cells = 0
     for lo, hi in _windows(t, delta, K):
         win = sieve_window(lo, hi, table)
-        odd, o, twos = win.odd, lo | 1, win.powers_of_two
+        pos, val, o, twos = win.pos, win.val, lo | 1, win.powers_of_two
         for n in range(math.isqrt(max(lo - K, 1)), math.isqrt(hi - 2) + 1):
             nn = n * n
             a = max(nn + 1, lo)
             b = min(nn + K, hi - 1)
             if a > b:
                 continue
-            m1 = a | 1                  # the slices are empty if m1 > b
+            m1 = a | 1                  # no odd cell if m1 > b
             j0, j1 = (m1 - o) // 2, (b - o) // 2 + 1
-            i0 = (m1 - nn - 1) // 2
-            by_parity[n & 1][i0: i0 + j1 - j0] += odd[j0:j1]
+            s0, s1 = np.searchsorted(pos, (j0, j1)).tolist()
+            shift = (m1 - nn - 1) // 2 - j0     # cell j holds k with (k-1)//2 = j + shift
+            np.add.at(by_parity[n & 1], pos[s0:s1] + shift, val[s0:s1])
             for m in twos:
                 if a <= m <= b:
                     k = m - nn
                     by_parity[1 - (k & 1)][(k - 1) // 2] += LOG2
         windows += 1
         cells += hi - lo
-        del win, odd                    # free this window before sieving the next
-    lambda_sums = np.empty(K)
-    lambda_sums[0::2], lambda_sums[1::2] = by_parity
-    ks = np.arange(1, K + 1, dtype=np.int64)
-    top = np.maximum(t + delta - ks, 0)
-    bot = np.maximum(t - ks, 0)
-    counts = isqrt_array(top) - isqrt_array(bot)
-    return lambda_sums, counts, {"segments": windows, "cells": cells}
+        del win, pos, val               # free this window before sieving the next
+    ns = np.arange(max(math.isqrt(max(t - K, 0)), 1), math.isqrt(t + delta) + 1,
+                   dtype=np.int64)
+    squares = ns * ns
+    counts = np.bincount(np.clip(t + 1 - squares, 1, K + 1), minlength=K + 2)
+    counts -= np.bincount(np.clip(t + delta + 1 - squares, 1, K + 1), minlength=K + 2)
+    np.cumsum(counts, out=counts)
+    return lambda_sums, counts[1:K + 1], {"segments": windows, "cells": cells}
 
 
 # ru_maxrss (KiB) of the workers joined during a cli.run, which sets the list.
@@ -201,9 +205,9 @@ def _worker(work: Callable[[], object], wanted: bool):
             os.waitpid(pid, 0)
 
 
-# os.fork plus os.wait4 take 3.7 ms (median of 30, max 5.5 ms) after moment1 at
-# z = 1e7 (43 MB peak RSS) on a 2-core box, and one SEGMENT_SIZE piece at z = 1e8
-# sieves in 3.6 ms: S(k) moves to a worker only where the sieve outlasts the fork.
+# os.fork plus os.wait4 take 2.7 ms (median of 30) after full_window_moment at z = 1e7,
+# K = 1e4 (32 MB peak RSS) on a 2-core box; one full SEGMENT_SIZE piece at z = 1e8 sieves
+# in 5.3-7.3 ms.  S(k) moves to a worker only where the sieve outlasts the fork.
 _FORK_MIN_PIECES = 2
 
 

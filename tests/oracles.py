@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from quadprimes import ScanConfig
-from quadprimes.arith import (INT63_CAP, PrimeTable, euler_phi, factorize,
-                              isqrt_array, primes_array, primes_up_to, sieve_window)
+from quadprimes.arith import (INT63_CAP, PrimeTable, euler_phi, factorize, primes_array,
+                              primes_up_to, sieve_window)
 from quadprimes.characters import Character, CharacterTable, build_character_group
 from quadprimes.dispersion import DispersionSample, identity_check
 from quadprimes.scan import ScanColumns, progression_sums
@@ -298,6 +298,23 @@ def lower_bound_diagnostic(K: int, P: int) -> float:
 # ---------------------------------------------------------------------------
 # scans
 # ---------------------------------------------------------------------------
+
+def isqrt_array(x: np.ndarray) -> np.ndarray:
+    """Exact elementwise floor(sqrt) for a non-negative int64 array.
+
+    float64 sqrt gets within 1 of the truth for the full int64 range, so a
+    single +-1 correction pass makes the result exact.  It compares s with
+    x // s, since squares near 2^63 overflow int64.  The scan's c_k is
+    checked against isqrt(t + delta - k) - isqrt(t - k) built on it.
+    """
+    x = np.asarray(x, dtype=np.int64)
+    if x.size and int(x.min()) < 0:
+        raise ValueError("negative input")
+    s = np.sqrt(x.astype(np.float64)).astype(np.int64)
+    s -= s > x // np.maximum(s, 1)      # s^2 > x
+    s += s + 1 <= x // (s + 1)          # (s+1)^2 <= x
+    return s
+
 
 def window_count(k: int, t: int, delta: int) -> int:
     """#{n >= 1 : t < n^2 + k <= t + delta}, exact."""

@@ -332,6 +332,20 @@ def test_mean_square_twisted_refuses_a_chi_index_out_of_range():
             mean_square_twisted_check(z=10**4, q=3, chi_index=chi_index, samples=5)
 
 
+def test_mean_square_twisted_refuses_before_building_the_group():
+    # the characters mod 2003 take 160 MB to build
+    for samples, chi_index in ((0, 1), (5, 2002), (5, -1)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError):
+                mean_square_twisted_check(z=10**6, q=2003, chi_index=chi_index,
+                                          samples=samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6, (samples, chi_index)
+
+
 def test_mean_square_invalid_window():
     with pytest.raises(ValueError):
         mean_square_check(z=10**4, M_frac=1.5, samples=5, seed=0)

@@ -11,8 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import quadprimes.scan
-from oracles import (progression_sums_full, theorem2_exact_integral, von_mangoldt,
-                     window_count, window_lambda_sum)
+from oracles import (isqrt_array, progression_sums_full, theorem2_exact_integral,
+                     von_mangoldt, window_count, window_lambda_sum)
 from quadprimes.arith import INT63_CAP, SEGMENT_SIZE, primes_up_to
 from quadprimes.cli import main
 from quadprimes.dispersion import dispersion_profile
@@ -142,7 +142,8 @@ def test_scan_with_tiny_segments_matches_default(monkeypatch):
     (1, 5000, 64, 1024),
     (10**6, 63096, 3982, 1 << 22),
     (10**7, 3 * 10**6, 3000, 1 << 22),
-    (10**7, 3 * 10**6, 3000, SEGMENT_SIZE),  # three sieve windows
+    (10**7, 3 * 10**6, 3000, 1 << 20),       # three sieve windows
+    (10**7, 3 * 10**6, 3000, SEGMENT_SIZE),  # two, at the production size
     (10**7, 10**6, 2000, 99_999),
     (10**6, 10**5, 50, 257),     # the gaps between n-windows outgrow a window
 ])
@@ -190,6 +191,33 @@ def test_scan_degenerate_windows():
     assert lam.sum() == 0 and counts.sum() == 0
     with pytest.raises(OverflowError):
         progression_sums(t=2**63 - 10, delta=5, K=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**12), st.integers(0, 10**5), st.integers(1, 10**5))
+@example(0, 0, 1)
+@example(0, 10, 50)              # t = 0 and K > t + delta
+@example(5, 100, 1000)           # t < K
+@example(10**12, 0, 10**5)       # delta = 0
+@example(10**6, 10**5, 10**5)
+def test_progression_counts_match_the_isqrt_formula(t, delta, K):
+    _, counts, _ = progression_sums(t, delta, K)
+    ks = np.arange(1, K + 1, dtype=np.int64)
+    expect = isqrt_array(np.maximum(t + delta - ks, 0)) - isqrt_array(np.maximum(t - ks, 0))
+    assert counts.tolist() == expect.tolist()
+
+
+def test_progression_sums_peak_memory():
+    # a sieve window keeps only its prime-power cells, and c_k takes no
+    # K-length square-root temporaries: 6.16 MiB with dense 1M-cell windows
+    progression_sums(10**5, 10**5, 100)         # first-call allocations stay out
+    tracemalloc.start()
+    try:
+        progression_sums(10**7, 10**7, 20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.0 * 2**20
 
 
 def test_scan_config_validation_and_warnings():
