@@ -2,10 +2,10 @@
 
 The unit group (Z/qZ)^x is decomposed into cyclic factors via CRT over the
 prime-power parts of q (the 2-power part uses the {-1, 5} generating pair).
-Characters are indexed by exponent vectors on those generators.  Their
-values, a dense length-q table per character since evaluation sits in the
-inner loop of the lemma checks, are built with the group: one matrix, of
-which each character stores its row.
+Characters are indexed by exponent vectors e on those generators.  A group
+keeps its units, their integer steps expvec[u, j] L/d_j (L the lcm of the
+orders d_j) and one table of L-th roots of unity; chi_e(units[u]) is the root
+at steps[u] . e mod L, so a row is built only on request, from exact phases.
 
 Conductors are exact integers read off the exponent vector, one prime power
 p^e of q at a time.  For odd p the local character has order m = m0 p^s with
@@ -24,32 +24,27 @@ import numpy as np
 
 from .arith import euler_phi, factorize
 
-MAX_MODULUS = 10**4  # dense tables are phi(q) x q complex; keep q modest
-
-
-def _character_values(q: int, units: np.ndarray, expvec: np.ndarray,
-                      orders: list[int]) -> np.ndarray:
-    """values[i, x] of the character with exponent vector expvec[i] at x."""
-    if orders:
-        weights = expvec / np.asarray(orders, dtype=np.float64)
-        phases = expvec @ weights.T  # (chars x units), phase in turns
-        unit_values = np.exp(2j * np.pi * phases)
-    else:
-        unit_values = np.ones((1, 1), dtype=np.complex128)
-    values = np.zeros((len(expvec), q), dtype=np.complex128)
-    values[:, units] = unit_values
-    return values
+MAX_MODULUS = 10**4  # the lemma checks read phi(q) rows of q values; keep q modest
 
 
 @dataclass(frozen=True)
 class Character:
-    """One Dirichlet character mod q."""
+    """One Dirichlet character mod q; the arrays are its group's, shared."""
     modulus: int
     exponent_vector: tuple[int, ...]
     conductor: int
     is_primitive: bool
     is_principal: bool
-    values: np.ndarray = field(repr=False, compare=False)   # length q; 0 off the units
+    _units: np.ndarray = field(repr=False, compare=False)
+    _steps: np.ndarray = field(repr=False, compare=False)   # units x gens, in 1/L turns
+    _roots: np.ndarray = field(repr=False, compare=False)   # the L-th roots of unity
+
+    def values(self) -> np.ndarray:
+        """chi(0), ..., chi(q-1), built afresh on each call; 0 off the units."""
+        phases = self._steps @ np.array(self.exponent_vector, dtype=np.int64)
+        row = np.zeros(self.modulus, dtype=np.complex128)
+        row[self._units] = self._roots[phases % len(self._roots)]
+        return row
 
 
 @dataclass(frozen=True)
@@ -131,15 +126,12 @@ def build_character_group(q: int) -> CharacterTable:
     # Enumerate units together with their discrete-log vectors; characters
     # share the enumeration order of exponent tuples, so index 0 is the
     # principal character.
-    gen_powers = [[pow(g, a, q) for a in range(d)] for g, d in gens]
-    units = np.empty(phi_q, dtype=np.int64)
-    expvec = np.zeros((phi_q, len(gens)), dtype=np.int64)
-    for i, tup in enumerate(itertools.product(*[range(d) for d in orders])):
-        x = 1 % q
-        for j, a in enumerate(tup):
-            x = x * gen_powers[j][a] % q
-        units[i] = x
-        expvec[i] = tup
+    expvec = np.array(list(itertools.product(*map(range, orders))),
+                      dtype=np.int64).reshape(phi_q, len(gens))
+    units = np.full(phi_q, 1 % q, dtype=np.int64)
+    for j, (g, d) in enumerate(gens):
+        powers = np.array([pow(g, a, q) for a in range(d)], dtype=np.int64)
+        units = units * powers[expvec[:, j]] % q
 
     conductor = np.ones(phi_q, dtype=np.int64)
     first = 0
@@ -147,14 +139,15 @@ def build_character_group(q: int) -> CharacterTable:
         conductor *= _local_conductors(p, e, expvec[:, first:first + len(local)])
         first += len(local)
 
-    values = _character_values(q, units, expvec, orders)
-    chars = [Character(modulus=q,
-                       exponent_vector=tuple(expvec[i].tolist()),
-                       conductor=int(conductor[i]),
-                       is_primitive=(int(conductor[i]) == q),
-                       is_principal=not expvec[i].any(),
-                       values=values[i])
-             for i in range(phi_q)]
+    L = math.lcm(*orders)                   # the group exponent
+    steps = expvec * (L // np.array(orders, dtype=np.int64))
+    k = np.arange(L)
+    roots = np.exp(2j * np.pi * k / L)      # then exact at the multiples of L/4
+    roots[4 * k % L == 0] = np.array([1, 1j, -1, -1j])[::4 // math.gcd(L, 4)]
+    chars = [Character(modulus=q, exponent_vector=tuple(e), conductor=c,
+                       is_primitive=c == q, is_principal=not any(e),
+                       _units=units, _steps=steps, _roots=roots)
+             for e, c in zip(expvec.tolist(), conductor.tolist())]
     return CharacterTable(modulus=q, characters=chars)
 
 

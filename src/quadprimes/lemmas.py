@@ -23,7 +23,7 @@ LS_AVG_C0 = 4.0      # worst dyadic-average large-sieve ratio (params "c0")
 MEAN_SQ_C0 = 2.0     # C0, the log power of both mean-square bounds
 SHORT_AP_TOL = 0.05  # relative deviation from delta/phi(l)
 PHI_AVG_C = 5.0      # deviation from (x/2) * constant, in units of log x
-_LEGENDRE_BLOCK = 1 << 20   # symbol-table reads per block of the Legendre sum
+_BLOCK_CELLS = 1 << 20      # cells per block of a units x l or q x q sweep
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,7 @@ def legendre_sum_check(l: int) -> LemmaReport:
     symbols = _jacobi_table(l)
     sq = (np.arange(l, dtype=np.int64) ** 2) % l
     units = np.flatnonzero(symbols)         # l is square-free: (a/l) != 0 iff (a, l) = 1
-    rows = max(1, _LEGENDRE_BLOCK // l)     # units per block; every l <= 1000 takes one
+    rows = max(1, _BLOCK_CELLS // l)        # units per block; every l <= 1000 takes one
     observed = sum(int(symbols[(sq[None, :] - units[i:i + rows, None]) % l].sum())
                    for i in range(0, len(units), rows))
     reference = mobius(l) * euler_phi(l)
@@ -116,7 +116,7 @@ def _char_matrix(q: int, M: int, N: int) -> np.ndarray:
     if not prim:
         return np.zeros((0, N), dtype=np.complex128)
     cols = np.arange(M + 1, M + N + 1, dtype=np.int64) % q
-    return np.stack([chi.values[cols] for chi in prim])
+    return np.stack([chi.values()[cols] for chi in prim])
 
 
 def large_sieve_avg_check(Q: int, M: int, N: int, trials: int = 100,
@@ -179,18 +179,21 @@ def polya_vinogradov_check(q: int) -> LemmaReport:
     chars = [chi for chi in build_character_group(q).characters if not chi.is_principal]
 
     def partial_sums(chi):
-        vals = np.concatenate((chi.values, chi.values))
+        vals = np.tile(chi.values(), 2)
         return np.concatenate(([0.0], np.cumsum(vals[1: 2 * q + 1])))
 
     bounds = [math.hypot(np.ptp(P.real), np.ptp(P.imag)) * (1 + 1e-12)
               for P in map(partial_sums, chars)]
+    rows = max(1, _BLOCK_CELLS // q)            # window starts M per block
     observed = 0.0
     for i in sorted(range(len(chars)), key=bounds.__getitem__, reverse=True):
         if bounds[i] < observed:
             break
         P = partial_sums(chars[i])
         windows = np.lib.stride_tricks.sliding_window_view(P, q)[1: q + 1]
-        observed = max(observed, float(np.abs(windows - P[:q, None]).max()))
+        for m in range(0, q, rows):
+            observed = max(observed, float(np.abs(windows[m:m + rows]
+                                                  - P[:q][m:m + rows, None]).max()))
     reference = 6.0 * math.sqrt(q) * math.log(q)
     return _report("POLYA_VINOGRADOV", {"q": q}, observed, reference,
                    observed <= reference)
@@ -272,15 +275,16 @@ def mean_square_twisted_check(z: int, delta_exp: float = 0.4, M_frac: float = 1.
     """As mean_square_check but for |sum Lambda(n) chi(n)|^2 with no main
     term, for a non-principal chi mod q."""
     _require_samples(samples)
-    # the group takes about 40 q^2 bytes: refuse a bad chi_index before it
+    # refuse a bad chi_index before building the group
     if 1 <= q <= MAX_MODULUS and not 0 <= chi_index < euler_phi(q):
         raise ValueError(f"chi_index={chi_index} outside 0..{euler_phi(q) - 1}")
     chi = build_character_group(q).characters[chi_index]
     if chi.is_principal:
         raise ValueError("chi must be non-principal")
+    row = chi.values()
 
     def square(t, M, lam):
-        chivals = chi.values[np.arange(t + 1, t + M + 1, dtype=np.int64) % q]
+        chivals = row[np.arange(t + 1, t + M + 1, dtype=np.int64) % q]
         return abs(complex((lam * chivals).sum())) ** 2
 
     return _mean_square("MEAN_SQ_TWISTED", square, z, delta_exp, M_frac, samples,

@@ -188,14 +188,14 @@ def kronecker(a: int, n: int) -> int:
 
 def evaluate(chi: Character, n: int) -> complex:
     """chi(n), periodic in n with period q."""
-    return complex(chi.values[n % chi.modulus])
+    return complex(chi.values()[n % chi.modulus])
 
 
 def conductors_by_induction(table: CharacterTable) -> list[int]:
     """Each character's conductor as the smallest divisor d of q such that
     the character is 1, to a float tolerance, on every unit n = 1 mod d."""
     q = table.modulus
-    values = np.stack([chi.values for chi in table.characters])
+    values = np.stack([chi.values() for chi in table.characters])
     units = np.array([n for n in range(q) if math.gcd(n, q) == 1])
     divisors = [1]
     for p, e in factorize(q) if q > 1 else []:
@@ -418,7 +418,8 @@ def polya_vinogradov_max(q: int) -> float:
     for chi in build_character_group(q).characters:
         if chi.is_principal:
             continue
-        vals = np.concatenate((chi.values, chi.values))
+        row = chi.values()
+        vals = np.concatenate((row, row))
         prefix = np.concatenate(([0.0], np.cumsum(vals[1: 2 * q + 1])))
         windows = np.lib.stride_tricks.sliding_window_view(prefix, q)[1: q + 1]
         observed = max(observed, float(np.abs(windows - prefix[:q, None]).max()))

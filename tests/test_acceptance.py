@@ -149,13 +149,14 @@ def test_criterion_05_large_sieve_single():
     worst = 0.0
     for q in range(2, 51):
         prim = primitive_characters(build_character_group(q))
+        rows = [chi.values() for chi in prim]
         for N in range(1, 51):
             M = int(rng.integers(0, 100))
             draws = rng.normal(size=(100, N)) + 1j * rng.normal(size=(100, N))
             refs = (q + N) * (np.abs(draws) ** 2).sum(axis=1)
             if prim:
                 cols = np.arange(M + 1, M + N + 1, dtype=np.int64) % q
-                V = np.stack([chi.values[cols] for chi in prim])
+                V = np.stack([row[cols] for row in rows])
                 obs = (np.abs(V @ draws.T) ** 2).sum(axis=0)
             else:
                 obs = np.zeros(100)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,8 +23,9 @@ def test_group_mod_3():
     assert len(principal) == 1
     other = next(c for c in table.characters if not c.is_principal)
     # the non-principal character mod 3 is the Legendre symbol
+    row = other.values()
     for n in range(3):
-        assert other.values[n] == pytest.approx(kronecker(n, 3), abs=1e-12)
+        assert row[n] == pytest.approx(kronecker(n, 3), abs=1e-12)
     assert other.conductor == 3 and other.is_primitive
 
 
@@ -31,7 +33,7 @@ def test_group_mod_4():
     table = build_character_group(4)
     assert len(table.characters) == 2
     other = next(c for c in table.characters if not c.is_principal)
-    assert other.values[3] == pytest.approx(-1.0, abs=1e-12)
+    assert other.values()[3] == pytest.approx(-1.0, abs=1e-12)
     assert len(primitive_characters(table)) == 1
 
 
@@ -39,7 +41,9 @@ def test_group_mod_8_all_real():
     table = build_character_group(8)
     assert len(table.characters) == 4
     for chi in table.characters:
-        assert np.abs(chi.values.imag).max() < 1e-12
+        row = chi.values()
+        assert np.abs(row.imag).max() < 1e-12
+        assert set(row.tolist()) <= {-1, 0, 1}     # exact, not within a tolerance
     assert sorted(c.conductor for c in table.characters) == [1, 4, 8, 8]
 
 
@@ -69,7 +73,7 @@ def test_evaluate_examples():
     for chi in t6.characters:
         assert evaluate(chi, 3) == 0
     quadratic = next(c for c in t5.characters
-                     if not c.is_principal and np.abs(c.values.imag).max() < 1e-12)
+                     if not c.is_principal and np.abs(c.values().imag).max() < 1e-12)
     assert evaluate(quadratic, 2) == pytest.approx(-1.0, abs=1e-12)
 
 
@@ -87,8 +91,9 @@ def test_character_value_invariants():
         assert sum(c.is_principal for c in table.characters) == 1
         for chi in table.characters:
             size = max(q, 1)
+            row = chi.values()
             for n in range(size):
-                mag = abs(chi.values[n])
+                mag = abs(row[n])
                 if math.gcd(n, q) > 1:
                     assert mag == 0.0
                 else:
@@ -96,9 +101,9 @@ def test_character_value_invariants():
             # complete multiplicativity on random pairs
             for _ in range(40):
                 m, n = rng.randrange(size), rng.randrange(size)
-                assert chi.values[m * n % size] == pytest.approx(
-                    chi.values[m] * chi.values[n], abs=1e-9)
-            colsum = chi.values.sum()
+                assert row[m * n % size] == pytest.approx(
+                    row[m] * row[n], abs=1e-9)
+            colsum = row.sum()
             if chi.is_principal:
                 assert colsum == pytest.approx(euler_phi(q), abs=1e-9)
             else:
@@ -110,10 +115,37 @@ def test_character_value_invariants():
 def test_row_orthogonality_all_q_up_to_200():
     for q in range(1, 201):
         table = build_character_group(q)
-        V = np.stack([c.values for c in table.characters])
+        V = np.stack([c.values() for c in table.characters])
         gram = V @ V.conj().T
         expect = euler_phi(q) * np.eye(len(table.characters))
         assert np.abs(gram - expect).max() < 1e-9, q
+        for row in V[np.abs(V.imag).max(axis=1) < 1e-12]:   # the real characters
+            assert set(row.tolist()) <= {-1, 0, 1}, q
+
+
+def test_multiplicativity_to_a_few_ulp():
+    # values looked up at exact integer phases are multiplicative to a few
+    # ulp; a float phase summed over many turns before exp is not
+    rng = np.random.default_rng(22)
+    for q in (720, 840, 997, 1000, 9973):
+        chars = build_character_group(q).characters
+        a, b = rng.integers(0, q, size=(2, 4000))
+        worst = 0.0
+        for i in rng.integers(0, len(chars), size=200):
+            row = chars[i].values()
+            worst = max(worst, float(np.abs(row[a * b % q] - row[a] * row[b]).max()))
+        assert worst <= 4e-15, (q, worst)
+
+
+def test_group_build_stores_no_value_table():
+    tracemalloc.start()
+    try:
+        table = build_character_group(2003)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2e6          # a phi(q) x q complex table would be 64 MB
+    assert len(table.characters) == 2002
 
 
 def test_parseval_identity_on_random_multisets():

@@ -199,6 +199,17 @@ def test_polya_vinogradov_bit_identical_to_exhaustive_search():
         assert observed.hex() == polya_vinogradov_max(q).hex(), q
 
 
+def test_polya_vinogradov_runs_in_bounded_memory():
+    tracemalloc.start()
+    try:
+        r = polya_vinogradov_check(2003)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32e6         # one q x q window table would be about 100 MB
+    assert r.passed
+
+
 def test_polya_vinogradov_observed_is_attained():
     # the reported maximum must be a real window sum for some chi, M, N
     q = 7
@@ -208,9 +219,10 @@ def test_polya_vinogradov_observed_is_attained():
     for chi in build_character_group(q).characters:
         if chi.is_principal:
             continue
+        row = chi.values()
         for M in range(q):
             for N in range(1, q + 1):
-                s = sum(chi.values[n % q] for n in range(M + 1, M + N + 1))
+                s = sum(row[n % q] for n in range(M + 1, M + N + 1))
                 best = max(best, abs(s))
     assert r.observed == pytest.approx(best, rel=1e-12)
 
@@ -333,7 +345,7 @@ def test_mean_square_twisted_refuses_a_chi_index_out_of_range():
 
 
 def test_mean_square_twisted_refuses_before_building_the_group():
-    # the characters mod 2003 take 160 MB to build
+    # a bad call must not build the 2002 characters mod 2003 first
     for samples, chi_index in ((0, 1), (5, 2002), (5, -1)):
         tracemalloc.start()
         try:
