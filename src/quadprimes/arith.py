@@ -157,9 +157,13 @@ class SieveWindow:
     def cells(self, start: int, step: int) -> np.ndarray:
         """Lambda(m) for m = start, start + step, ... below hi (start >= lo)."""
         out = np.zeros(len(range(start, self.hi, step)), dtype=np.float64)
-        odd = 2 * self.pos + (self.lo | 1)
-        on = (odd >= start) & ((odd - start) % step == 0)
-        out[(odd[on] - start) // step] = self.val[on]
+        o = self.lo | 1
+        i = int(np.searchsorted(self.pos, (start - o + 1) // 2))   # first odd m >= start
+        gap, val = 2 * self.pos[i:] + (o - start), self.val[i:]     # m - start, Lambda(m)
+        if step > 1:
+            on = gap % step == 0
+            gap, val = gap[on] // step, val[on]
+        out[gap] = val
         for m in self.powers_of_two:
             if m >= start and (m - start) % step == 0:
                 out[(m - start) // step] = LOG2

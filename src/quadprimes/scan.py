@@ -136,16 +136,14 @@ def progression_sums(t: int, delta: int, K: int):
     for lo, hi in _windows(t, delta, K):
         win = sieve_window(lo, hi, table)
         pos, val, o, twos = win.pos, win.val, lo | 1, win.powers_of_two
-        for n in range(math.isqrt(max(lo - K, 1)), math.isqrt(hi - 2) + 1):
+        ns = range(math.isqrt(max(lo - K, 1)), math.isqrt(hi - 2) + 1)
+        rows = [(n, max(n * n + 1, lo), min(n * n + K, hi - 1)) for n in ns]
+        # each row's odd cells j0 <= j < j1 (none if a | 1 > b), searched in one call
+        cuts = [(((a | 1) - o) // 2, (b - o) // 2 + 1) for _, a, b in rows]
+        for (n, a, b), (j0, _), (s0, s1) in zip(rows, cuts,
+                                                 np.searchsorted(pos, cuts).tolist()):
             nn = n * n
-            a = max(nn + 1, lo)
-            b = min(nn + K, hi - 1)
-            if a > b:
-                continue
-            m1 = a | 1                  # no odd cell if m1 > b
-            j0, j1 = (m1 - o) // 2, (b - o) // 2 + 1
-            s0, s1 = np.searchsorted(pos, (j0, j1)).tolist()
-            shift = (m1 - nn - 1) // 2 - j0     # cell j holds k with (k-1)//2 = j + shift
+            shift = ((a | 1) - nn - 1) // 2 - j0    # cell j holds k with (k-1)//2 = j + shift
             np.add.at(by_parity[n & 1], pos[s0:s1] + shift, val[s0:s1])
             for m in twos:
                 if a <= m <= b:

@@ -5,8 +5,11 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -291,6 +294,17 @@ def test_content_hash_and_rows_describe_the_file_on_disk(tmp_path, monkeypatch, 
         assert summary["content_hash"] == blob
         assert summary["rows"] == len(data.splitlines()) - 1
     assert (tmp_path / "a" / "results.csv").read_bytes() == data
+
+
+def test_moment1_never_loads_openssl(tmp_path):
+    # a fresh interpreter, since this one imported hashlib for the oracle above
+    code = ("import sys; from quadprimes.cli import main; "
+            f"rc = main(['moment1', '--z=1000', '--K=20', '--out={tmp_path}']); "
+            "print(rc, '_hashlib' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.split() == ["0", "False"]
 
 
 @pytest.mark.parametrize("command", sorted(_SMALL_RUNS))
