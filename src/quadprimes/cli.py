@@ -26,9 +26,13 @@ import shutil
 import sys
 import tempfile
 import time
-from _sha1 import sha1  # not hashlib: OpenSSL costs +3.6 MB VmHWM and 3.6 ms of import
 from dataclasses import dataclass, field
 from pathlib import Path
+
+try:     # not hashlib, which maps OpenSSL's libcrypto (see README)
+    from _sha1 import sha1
+except ImportError:      # a CPython built without its own SHA-1
+    from hashlib import sha1
 
 from .dispersion import dispersion_profile
 from .lemmas import default_grid

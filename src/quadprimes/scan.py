@@ -142,12 +142,11 @@ def progression_sums(t: int, delta: int, K: int):
         cuts = [(((a | 1) - o) // 2, (b - o) // 2 + 1) for _, a, b in rows]
         for (n, a, b), (j0, _), (s0, s1) in zip(rows, cuts,
                                                  np.searchsorted(pos, cuts).tolist()):
-            nn = n * n
-            shift = ((a | 1) - nn - 1) // 2 - j0    # cell j holds k with (k-1)//2 = j + shift
+            shift = ((a | 1) - n * n - 1) // 2 - j0     # cell j holds k with (k-1)//2 = j + shift
             np.add.at(by_parity[n & 1], pos[s0:s1] + shift, val[s0:s1])
             for m in twos:
                 if a <= m <= b:
-                    k = m - nn
+                    k = m - n * n
                     by_parity[1 - (k & 1)][(k - 1) // 2] += LOG2
         windows += 1
         cells += hi - lo

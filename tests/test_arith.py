@@ -388,7 +388,8 @@ def test_sieve_window_bit_identical_to_full_cell_oracle(kind):
             odd = full[(lo | 1) - lo:: 2]
             assert np.array_equal(win.pos, np.flatnonzero(odd)), where
             assert np.array_equal(win.val.view(np.int64), odd[win.pos].view(np.int64)), where
-            starts = ((lo, 2), (lo + 1, 2), (lo, 3), (lo + 1, 4), ((lo + hi) // 2, 7))
+            starts = ((lo, 2), (lo + 1, 2), (lo, 3), (lo + 1, 4), ((lo + hi) // 2, 7),
+                      (lo + 1, 1), ((lo + hi) // 2, 1))
             for start, step in starts:
                 if start < hi:
                     assert np.array_equal(win.cells(start, step).view(np.int64),

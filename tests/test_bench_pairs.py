@@ -95,3 +95,13 @@ def test_parse_output_reads_each_workload_block():
                         "metrics": {"wall_s": 1.05}},
         "lemma-grid": {"attempted": 100, "failed": 1, "correct": False,
                        "metrics": {"peak_rss_mb": 40.9}}}
+
+
+def test_claim_note_reads_the_claim():
+    summary = bench_pairs.summarize(RUNS, END_TO_END)
+    note = bench_pairs.claim_note(bench_pairs.claim(summary, "w", "peak_rss_mb", 34.3, "lower"))
+    assert note == ("w peak_rss_mb claim met: median 37.85 -> 34 (target 34.3), 4 of 4 "
+                    "pairs better, medians 3.85 apart against a parent interquartile "
+                    "range of 0.125.")
+    note = bench_pairs.claim_note(bench_pairs.claim(summary, "w", "wall_s", 2.0, "lower"))
+    assert note.startswith("w wall_s claim NOT met: median 1.05 -> 1.15 (target 2)")

@@ -307,6 +307,21 @@ def test_moment1_never_loads_openssl(tmp_path):
     assert done.stdout.split() == ["0", "False"]
 
 
+def test_content_hash_falls_back_to_hashlib_without_builtin_sha1(tmp_path):
+    # a CPython built without _sha1 takes SHA-1 from hashlib, with the same digest
+    code = ("import sys; sys.modules['_sha1'] = None; import json, pathlib; "
+            "from quadprimes.cli import main; "
+            f"rc = main(['moment1', '--z=1000', '--K=20', '--out={tmp_path}']); "
+            f"s = json.loads(pathlib.Path(r'{tmp_path}', 'summary.json').read_text()); "
+            "print(rc, '_hashlib' in sys.modules, s['content_hash'])")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    data = (tmp_path / "results.csv").read_bytes()
+    blob = hashlib.sha1(b"blob %d\0" % len(data) + data).hexdigest()
+    assert done.stdout.split() == ["0", "True", blob]
+
+
 @pytest.mark.parametrize("command", sorted(_SMALL_RUNS))
 def test_summary_payload_is_deterministic(tmp_path, command):
     payloads = []

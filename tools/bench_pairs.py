@@ -1,7 +1,7 @@
 """Alternating parent/change pairs of the quadprimes benchmark, written as BENCH_<n>.json.
 
     python3 tools/bench_pairs.py --out BENCH_23.json --scratch DIR
-        [--rev HEAD] [--pairs 10] [--seeds 0 1] [--seconds 40]
+        [--rev HEAD] [--pairs 10] [--seeds 0 1]
         [--claim full-window:peak_rss_mb:34.3] [--note TEXT ...]
 
 Two copies are made under DIR: `parent`, the src/ and perfbench/ of --rev
@@ -13,8 +13,9 @@ perfbench/.  For every seed, each of --pairs pairs runs
 once in each copy, alternating which copy runs first.  Before every run the
 copy's __pycache__ directories are deleted, and the run is made with
 PYTHONDONTWRITEBYTECODE=1, so both sides compile the package on every
-invocation.  The bounds and directions of the end-to-end metrics come from
-BENCHMARK.json.  Quartiles are statistics.quantiles(n=4, method='inclusive').
+invocation.  The run length S (`run_seconds`) and the bounds and directions
+of the end-to-end metrics come from BENCHMARK.json.  Quartiles are
+statistics.quantiles(n=4, method='inclusive').
 
 The output holds the runs and, per workload and end-to-end metric, the
 parent's and the change's median/q1/q3/n, how many pairs the change won,
@@ -23,12 +24,14 @@ per side the failed and attempted invocations.  The first seed's summary is
 `summary`; each further seed's is `summary_seed<N>`.  A --claim
 WORKLOAD:METRIC:TARGET is met on a seed when the change's median is on the
 better side of TARGET, the change wins at least 9 in 10 of the pairs, and the
-medians lie further apart than the parent's interquartile range.
+medians lie further apart than the parent's interquartile range; a note per
+seed says whether it is.  The --note texts follow the tool's own notes.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import io
 import json
 import os
@@ -178,6 +181,14 @@ def medians_note(summary: dict) -> str:
     return "Medians, parent -> change: " + "; ".join(parts) + "."
 
 
+def claim_note(c: dict) -> str:
+    return (f"{c['workload']} {c['metric']} claim {'met' if c['met'] else 'NOT met'}: "
+            f"median {c['parent_median']:.4g} -> {c['change_median']:.4g} "
+            f"(target {c['target']:g}), {c['change_better_pairs']} of {c['pairs']} pairs "
+            f"better, medians {c['median_gap']:.4g} apart against a parent "
+            f"interquartile range of {c['parent_iqr']:.4g}.")
+
+
 def main(args: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", type=Path, required=True, help="the BENCH_<n>.json to write")
@@ -186,22 +197,23 @@ def main(args: list[str] | None = None) -> int:
     parser.add_argument("--rev", default="HEAD", help="the parent commit")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seeds", type=int, nargs="+", default=[0])
-    parser.add_argument("--seconds", type=float, default=40.0)
     parser.add_argument("--claim", help="WORKLOAD:METRIC:TARGET of a claimed gain")
     parser.add_argument("--note", action="append", default=[], help="a note to add")
     opts = parser.parse_args(args)
     if opts.pairs < 1:
         parser.error("--pairs must be >= 1")
-    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    end_to_end, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
     dirs, sha = prepare(opts.scratch, opts.rev)
-    command = f"python3 perfbench/run.py --workload all --seed SEED --seconds {opts.seconds:g}"
+    command = f"python3 perfbench/run.py --workload all --seed SEED --seconds {seconds:g}"
     what = (f"{command} runs of the parent commit ({sha[:7]}, its src/ and perfbench/ "
             "from git archive) and of the working tree (a copy of its src/ and "
             f"perfbench/), {opts.pairs} pairs per seed alternating which side runs first "
             "(ran_first). Both copies' __pycache__ directories were deleted before every "
             "run and the runs were made with PYTHONDONTWRITEBYTECODE=1. Quartiles are "
             "statistics.quantiles(n=4, method='inclusive'). Host: "
-            f"{len(os.sched_getaffinity(0))} vCPU, Python {platform.python_version()}.")
+            f"{len(os.sched_getaffinity(0))} vCPU, Python {platform.python_version()}, "
+            f"numpy {importlib.metadata.version('numpy')}.")
     src_lines, runs_by_seed, summaries, claims, notes = {}, {}, {}, {}, []
     for n, seed in enumerate(opts.seeds):
         suffix = "" if n == 0 else f"_seed{seed}"
@@ -211,22 +223,27 @@ def main(args: list[str] | None = None) -> int:
             for side in order:
                 print(f"seed {seed} pair {pair} {side}", file=sys.stderr, flush=True)
                 run = {"pair": pair, "side": side, "ran_first": side == order[0],
-                       **run_side(dirs[side], seed, opts.seconds)}
+                       **run_side(dirs[side], seed, seconds)}
                 if side == "parent":
                     run["git_sha"] = sha
                 runs.append(run)
                 src_lines.setdefault(side, run["src_lines"])
         summary = summaries[f"summary{suffix}"] = summarize(runs, end_to_end)
-        if opts.claim:
-            workload, metric, target = opts.claim.split(":")
-            better = next(e["better"] for e in end_to_end if e["name"] == metric)
-            claims[f"claim{suffix}"] = claim(summary, workload, metric, float(target), better)
         within = all(s["within_bound"] for block in summary.values()
                      for m, s in block.items() if m != "failed_over_attempted")
         notes += [f"seed {seed}: {medians_note(summary)}",
                   f"seed {seed}: every median within its BENCHMARK.json bound: "
                   f"{str(within).lower()}."]
+        if opts.claim:
+            workload, metric, target = opts.claim.split(":")
+            better = next(e["better"] for e in end_to_end if e["name"] == metric)
+            c = claims[f"claim{suffix}"] = claim(summary, workload, metric, float(target),
+                                                 better)
+            notes.append(f"seed {seed}: {claim_note(c)}")
     out = {"what": what, "command": command.replace("SEED", str(opts.seeds[0])),
+           "made_with": (f"python3 tools/bench_pairs.py --rev {opts.rev} --pairs {opts.pairs} "
+                         f"--seeds {' '.join(map(str, opts.seeds))}"
+                         + (f" --claim {opts.claim}" if opts.claim else "")),
            "src_lines": src_lines, "claim": claims.pop("claim", None), **claims,
            **summaries, "runs": runs_by_seed, "notes": [*notes, *opts.note]}
     opts.out.write_text(json.dumps(out, indent=2) + "\n")
