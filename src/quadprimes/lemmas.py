@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._stream import Stream
 from .arith import euler_phi, factorize, mobius, primes_array, primes_up_to, sieve_window
 from .characters import MAX_MODULUS, build_character_group, primitive_characters
 from .scan import _windows
@@ -135,9 +136,9 @@ def large_sieve_avg_check(Q: int, M: int, N: int, trials: int = 100,
             total += float((np.abs(mat @ a) ** 2).sum()) / phi
         return total
 
-    rng = np.random.default_rng(seed)
+    rng = Stream(seed)
     draws = [np.ones(N, dtype=np.complex128)]
-    draws += [np.exp(2j * np.pi * rng.random(N)) for _ in range(trials - 1)]
+    draws += [np.exp(2j * np.pi * np.array(rng.random(N))) for _ in range(trials - 1)]
     worst = (0.0, 0.0, 0.0)  # (ratio, observed, reference)
     for a in draws:
         obs = lhs(a)
@@ -244,12 +245,10 @@ def _mean_square(lemma_id: str, square, z: int, delta_exp: float, M_frac: float,
     reference = delta**2 / math.log(z) ** MEAN_SQ_C0
     if M == 0:
         return _report(lemma_id, params, 0.0, reference, True, seed)
+    ts = Stream(seed).integers(z + 1, 2 * z + 1, samples)
     table = primes_up_to(math.isqrt(2 * z + M) + 1)
-    rng = np.random.default_rng(seed)
-    ts = rng.integers(z + 1, 2 * z + 1, size=samples)
     vals = []
     for t in ts:
-        t = int(t)
         vals.append(square(t, M, sieve_window(t + 1, t + M + 1, table).lam))
     estimate = float(np.mean(vals))
     return _report(lemma_id, params, estimate, reference,
@@ -293,8 +292,7 @@ def mean_square_twisted_check(z: int, delta_exp: float = 0.4, M_frac: float = 1.
 
 def default_grid(seed: int = 0) -> list[LemmaReport]:
     """One representative check per lemma at desk-fast parameters."""
-    rng = np.random.default_rng(seed)
-    coeffs = np.exp(2j * np.pi * rng.random(50))
+    coeffs = np.exp(2j * np.pi * np.array(Stream(seed).random(50)))
     return [
         large_sieve_avg_check(Q=10, M=0, N=100, trials=100, seed=seed),
         large_sieve_single_check(q=7, M=0, N=50, coeffs=coeffs),

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._stream import Stream
 from .arith import INT63_CAP, LOG2, SEGMENT_SIZE, primes_up_to, sieve_window
 from .singular import DEFAULT_TRUNCATION, batch_singular_values
 
@@ -259,13 +260,13 @@ def full_window_moment(config: ScanConfig,
 
 
 def sample_points(z: int, t_samples: int, seed: int | None = None) -> list[int]:
-    """t-sample grid in [z, 2z): evenly spaced, or seeded-uniform if seed given."""
+    """t-sample grid in [z, 2z): evenly spaced, or given a seed numpy's
+    default_rng(seed).integers(z, 2z, t_samples), drawn by _stream.Stream."""
     if t_samples < 1:
         raise ValueError("need at least one sample point")
     if seed is None:
         return [z + (j * z) // t_samples for j in range(t_samples)]
-    rng = np.random.default_rng(seed)
-    return [int(v) for v in rng.integers(z, 2 * z, size=t_samples)]
+    return Stream(seed).integers(z, 2 * z, t_samples)
 
 
 def _t_integral(z: int, values: list[float]) -> tuple[float, float | None]:

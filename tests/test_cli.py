@@ -296,15 +296,25 @@ def test_content_hash_and_rows_describe_the_file_on_disk(tmp_path, monkeypatch, 
     assert (tmp_path / "a" / "results.csv").read_bytes() == data
 
 
-def test_moment1_never_loads_openssl(tmp_path):
-    # a fresh interpreter, since this one imported hashlib for the oracle above
-    code = ("import sys; from quadprimes.cli import main; "
-            f"rc = main(['moment1', '--z=1000', '--K=20', '--out={tmp_path}']); "
-            "print(rc, '_hashlib' in sys.modules)")
+@pytest.mark.parametrize("command", sorted(_SMALL_RUNS))
+def test_no_command_loads_numpy_random_or_openssl(tmp_path, command):
+    # a fresh interpreter, since this one imported hashlib and numpy.random for
+    # the oracles; moment2 and dispersion draw their t grid only when seeded
+    argv = [command, *_SMALL_RUNS[command], f"--out={tmp_path}"]
+    argv += ["--seed=5"] if command in ("moment2", "dispersion") else []
+    code = (f"import sys; from quadprimes.cli import main; rc = main({argv!r}); "
+            "print(rc, 'numpy.random' in sys.modules, '_hashlib' in sys.modules)")
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
-    assert done.stdout.split() == ["0", "False"]
+    assert done.stdout.splitlines()[-1] == "0 False False"
+
+
+@pytest.mark.parametrize("command", ["moment2", "dispersion", "lemmas"])
+def test_negative_seed_is_refused(tmp_path, capsys, command):
+    # numpy's SeedSequence refusal, kept by the package's own stream
+    assert _refused([command, *_SMALL_RUNS[command], "--seed=-1"], tmp_path, capsys) == [
+        "error: expected non-negative integer"]
 
 
 def test_content_hash_falls_back_to_hashlib_without_builtin_sha1(tmp_path):

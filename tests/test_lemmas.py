@@ -338,6 +338,19 @@ def test_mean_square_refuses_no_samples_before_the_table(monkeypatch):
                 check(z=10**6, samples=samples)
 
 
+def test_mean_square_refuses_a_negative_seed_or_a_t_past_int64_before_the_table(
+        monkeypatch):
+    def no_table(limit):
+        raise AssertionError("built a prime table for a refused draw")
+
+    monkeypatch.setattr(quadprimes.lemmas, "primes_up_to", no_table)
+    for check in (mean_square_check, mean_square_twisted_check):
+        with pytest.raises(ValueError, match="^expected non-negative integer$"):
+            check(z=10**6, samples=5, seed=-1)
+        with pytest.raises(ValueError, match="high"):     # t would reach 2z = 2^63
+            check(z=2**62, samples=5)
+
+
 def test_mean_square_twisted_refuses_a_chi_index_out_of_range():
     for chi_index in (-1, 2, 100):          # phi(3) = 2 characters mod 3
         with pytest.raises(ValueError, match=rf"^chi_index={chi_index} outside 0\.\.1"):

@@ -358,6 +358,11 @@ def test_sample_points_conventions():
     seeded = sample_points(1000, 8, seed=7)
     assert seeded == sample_points(1000, 8, seed=7)
     assert all(1000 <= t < 2000 for t in seeded)
+    for z, seed in ((1000, 7), (10**8, 0), (2**62, 2**70)):  # 32- and 64-bit draws
+        assert sample_points(z, 9, seed) == np.random.default_rng(seed).integers(
+            z, 2 * z, size=9).tolist()
+    with pytest.raises(ValueError):
+        sample_points(2**62 + 1, 4, seed=0)                 # 2z - 1 past int64
 
 
 def test_exceptional_set():
