@@ -101,7 +101,7 @@ def primes_array(limit: int) -> np.ndarray:
     for p in range(2, math.isqrt(limit) + 1):
         if flags[p]:
             flags[p * p:: p] = False
-    return np.flatnonzero(flags).astype(np.int64)
+    return np.flatnonzero(flags)
 
 
 def primes_up_to(limit: int) -> PrimeTable:
@@ -152,21 +152,10 @@ class SieveWindow:
     @property
     def lam(self) -> np.ndarray:
         """lam[i] = Lambda(lo + i) for every cell, expanded afresh on each read."""
-        return self.cells(self.lo, 1)
-
-    def cells(self, start: int, step: int) -> np.ndarray:
-        """Lambda(m) for m = start, start + step, ... below hi (start >= lo)."""
-        out = np.zeros(len(range(start, self.hi, step)), dtype=np.float64)
-        o = self.lo | 1
-        i = int(np.searchsorted(self.pos, (start - o + 1) // 2))   # first odd m >= start
-        gap, val = 2 * self.pos[i:] + (o - start), self.val[i:]     # m - start, Lambda(m)
-        if step > 1:
-            on = gap % step == 0
-            gap, val = gap[on] // step, val[on]
-        out[gap] = val
+        out = np.zeros(self.hi - self.lo, dtype=np.float64)
+        out[2 * self.pos + ((self.lo | 1) - self.lo)] = self.val
         for m in self.powers_of_two:
-            if m >= start and (m - start) % step == 0:
-                out[(m - start) // step] = LOG2
+            out[m - self.lo] = LOG2
         return out
 
 
@@ -178,7 +167,9 @@ def sieve_window(lo: int, hi: int, table: PrimeTable) -> SieveWindow:
     p at least as large as the odd-cell count strikes at most one cell, so
     all such p strike in one indexed write; only smaller p loop.  Prime
     powers come from two binary searches, in ps and in the table's powers:
-    their cells are flagged with the primes, then take log p for log m."""
+    their cells are flagged with the primes, then take log p for log m.
+    val is built in place from pos, rounding each m = o + 2 pos to a float
+    once, as the int64 m.astype(float) does, also above 2^53."""
     if not 2 <= lo < hi:
         raise ValueError("require 2 <= lo < hi")
     if hi - 1 > INT63_CAP:
@@ -206,7 +197,11 @@ def sieve_window(lo: int, hi: int, table: PrimeTable) -> SieveWindow:
     flags[power_cells] = True
     pos = np.flatnonzero(flags)
     del flags
-    val = np.log((2 * pos + o).astype(np.float64))
+    val = pos.astype(np.float64)
+    val *= 2
+    val += o & 4095         # exact, then o's high bits (exact as a float): m rounds once
+    val += o - (o & 4095)
+    np.log(val, out=val)
     val[np.searchsorted(pos, power_cells)] = [
         math.log(p) for p in ps[sq:].tolist() + table.bases[i:j].tolist()]
     return SieveWindow(lo=lo, hi=hi, pos=pos, val=val)

@@ -8,8 +8,8 @@ writes results.csv (blocks of rows, each cell formatted by _write_rows) and
 summary.json (full effective config echo, the row count, a git-style content
 hash of the CSV's bytes as read back from disk) into the output directory, so
 a run is reproducible from its summary alone.  Only `timings` differs between
-reruns: wall_seconds, compute_seconds (until the library call returns) and
-the peak RSS of the process and of its workers.
+reruns: wall_seconds, compute_seconds (until the library call returns), the
+peak RSS of the process and of its workers, and the process's minor page faults.
 The `moment` and `profile` blocks hold computed values only, no copy of
 `parameters`; moment2's `moment` adds sampling_sd (null for one sample) and
 has exceptional_count null.
@@ -22,6 +22,7 @@ I/O failure).
 from __future__ import annotations
 
 import json
+import resource
 import shutil
 import sys
 import tempfile
@@ -215,7 +216,8 @@ def _write_outputs(config: RunConfig, header: str, columns: tuple,
         "timings": {"wall_seconds": time.perf_counter() - started,
                     "compute_seconds": compute_seconds,
                     "peak_rss_mb": _peak_rss_mb(),
-                    "worker_peak_rss_mb": max(peaks) / 1024 if peaks else None},
+                    "worker_peak_rss_mb": max(peaks) / 1024 if peaks else None,
+                    "minor_faults": resource.getrusage(resource.RUSAGE_SELF).ru_minflt},
     }
     if config.command not in ("lemmas", "constant"):    # the others compute S(k)
         summary["health"] = {

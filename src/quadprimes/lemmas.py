@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._stream import Stream
-from .arith import euler_phi, factorize, mobius, primes_array, primes_up_to, sieve_window
+from .arith import (LOG2, euler_phi, factorize, mobius, primes_array, primes_up_to,
+                    sieve_window)
 from .characters import MAX_MODULUS, build_character_group, primitive_characters
 from .scan import _windows
 from .singular import CONSTANT_TRUNCATION, main_term_constant
@@ -206,18 +207,24 @@ def polya_vinogradov_check(q: int) -> LemmaReport:
 
 def short_ap_check(t: int, delta: int, l: int, a: int) -> LemmaReport:
     """Lambda-sum over n = a mod l in (t, t+delta] against delta/phi(l).  l is
-    at most t + delta, so euler_phi(l) trial-divides no further than the table."""
+    at most t + delta, so euler_phi(l) trial-divides no further than the table.
+    The sum is one math.fsum over the progression's terms in each piece's sparse
+    cells and powers of 2: correctly rounded, however the window is split."""
     if t < 3 or delta < 1 or not 1 <= l <= t + delta:
         raise ValueError("require t >= 3, delta >= 1 and t + delta >= l >= 1")
     if math.gcd(a, l) != 1:
         raise ValueError(f"require gcd(a, l) = 1, got gcd({a}, {l}) = {math.gcd(a, l)}")
     table = primes_up_to(math.isqrt(t + delta) + 1)
-    observed = 0.0
-    for lo, hi in _windows(t, delta, t + delta):     # K at the top: no gap to skip
-        win = sieve_window(lo, hi, table)
-        first = lo + (a - lo) % l
-        if first < hi:
-            observed += float(win.cells(first, l).sum())
+
+    def terms():
+        for lo, hi in _windows(t, delta, t + delta):     # K at the top: no gap to skip
+            win = sieve_window(lo, hi, table)
+            twice = win.pos * 2
+            twice %= l                  # m = o + 2 pos = a (mod l) iff 2 pos = a - o
+            yield from win.val[twice == (a - (lo | 1)) % l]     # o = lo | 1
+            yield from (LOG2 for m in win.powers_of_two if m % l == a % l)
+
+    observed = math.fsum(terms())
     reference = delta / euler_phi(l)
     params = {"t": t, "delta": delta, "l": l, "a": a, "tol": SHORT_AP_TOL}
     return _report("SHORT_AP", params, observed, reference,

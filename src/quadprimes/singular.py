@@ -170,9 +170,14 @@ def main_term_constant(P: int = CONSTANT_TRUNCATION) -> float:
     """prod over odd primes p <= P of (1 + 1/(p(p-1))).
 
     Converges absolutely (monotone increasing in P) to
-    zeta(2) zeta(3) / zeta(6) divided by the p=2 factor 3/2.
+    zeta(2) zeta(3) / zeta(6) divided by the p=2 factor 3/2.  p (p - 1), its
+    reciprocal and log1p of that run in one float buffer beside the primes.
     """
     if P < 3:
         raise ValueError("P must be >= 3")
-    p = primes_array(P)[1:].astype(np.float64)
-    return math.exp(float(np.log1p(1.0 / (p * (p - 1.0))).sum()))
+    p = primes_array(P)[1:]
+    x = p - 1.0
+    x *= p
+    np.divide(1.0, x, out=x)
+    np.log1p(x, out=x)
+    return math.exp(float(x.sum()))

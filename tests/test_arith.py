@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 import quadprimes.arith
 from oracles import (_ceil_sqrt, integer_nth_root, is_prime, isqrt_array, kronecker,
                      perfect_power_base, sieve_window_full, von_mangoldt)
-from quadprimes.arith import INT63_CAP, euler_phi, mobius, primes_up_to, sieve_window
+from quadprimes.arith import (INT63_CAP, SEGMENT_SIZE, PrimeTable, euler_phi, mobius,
+                              primes_array, primes_up_to, sieve_window)
 
 # the largest r with r^2 <= 2^63 - 1
 ROOT_CAP = math.isqrt(INT63_CAP)
@@ -388,12 +390,35 @@ def test_sieve_window_bit_identical_to_full_cell_oracle(kind):
             odd = full[(lo | 1) - lo:: 2]
             assert np.array_equal(win.pos, np.flatnonzero(odd)), where
             assert np.array_equal(win.val.view(np.int64), odd[win.pos].view(np.int64)), where
-            starts = ((lo, 2), (lo + 1, 2), (lo, 3), (lo + 1, 4), ((lo + hi) // 2, 7),
-                      (lo + 1, 1), ((lo + hi) // 2, 1))
-            for start, step in starts:
-                if start < hi:
-                    assert np.array_equal(win.cells(start, step).view(np.int64),
-                                          full[start - lo:: step].view(np.int64)), where
+
+
+@pytest.mark.parametrize("lo", [2**53 - 2**20, 2**53 + 1, 2**54 + 3, 2**62 + 513])
+def test_sieve_window_values_round_each_cell_once_above_2_53(lo):
+    # a table whose limit admits the window but which holds only the primes up
+    # to 1000 and no p^e: every unstruck odd cell is kept, and val is plain log m.
+    # Below 2^54 log hides a one-ulp slip in m; the two windows above it show
+    # thousands of slipped logs when m is rounded twice (o first, then o + 2 pos).
+    hi = lo + SEGMENT_SIZE
+    empty = np.zeros(0, dtype=np.int64)
+    table = PrimeTable(limit=math.isqrt(hi), primes=primes_array(1000),
+                       powers=empty, bases=empty)
+    win = sieve_window(lo, hi, table)
+    expected = np.log((2 * win.pos + (lo | 1)).astype(np.float64))
+    assert win.pos.size > 10**5
+    assert np.array_equal(win.val.view(np.int64), expected.view(np.int64))
+
+
+def test_sieve_window_holds_no_piece_sized_temporary():
+    lo = 150_000_001
+    table = primes_up_to(math.isqrt(lo + SEGMENT_SIZE) + 1)
+    tracemalloc.start()
+    try:
+        win = sieve_window(lo, lo + SEGMENT_SIZE, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    flag_bytes = SEGMENT_SIZE // 2          # one byte per odd cell
+    assert peak <= flag_bytes + 8 * win.pos.size + 128 * 1024
 
 
 def test_prime_table_powers_cover_the_sieve_range():

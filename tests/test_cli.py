@@ -338,8 +338,10 @@ def test_summary_payload_is_deterministic(tmp_path, command):
     for out in (tmp_path / "a", tmp_path / "b"):
         assert main([command, *_SMALL_RUNS[command], f"--out={out}"]) == 0
         summary = json.loads((out / "summary.json").read_text())
-        assert set(summary.pop("timings")) == {"wall_seconds", "compute_seconds",
-                                               "peak_rss_mb", "worker_peak_rss_mb"}
+        timings = summary.pop("timings")
+        assert set(timings) == {"wall_seconds", "compute_seconds", "peak_rss_mb",
+                                "worker_peak_rss_mb", "minor_faults"}
+        assert type(timings["minor_faults"]) is int
         del summary["output_dir"]
         payloads.append(summary)
     assert payloads[0] == payloads[1]

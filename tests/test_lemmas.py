@@ -274,12 +274,23 @@ def test_short_ap_desk_scale():
     (3, 5000, 3, 1), (3, 5000, 5, 2), (10, 3, 7, 6),
 ])
 def test_short_ap_observed_bit_identical_to_full_cell_sum(t, delta, l, a):
-    """One window: the sum over the progression of a full-cell sieve."""
+    """One window: the correctly rounded sum over the progression of a full-cell sieve."""
     lo, hi = t + 1, t + delta + 1
     lam = sieve_window_full(lo, hi, primes_up_to(math.isqrt(hi) + 1))
     first = lo + (a - lo) % l
-    expected = float(lam[first - lo:: l].sum()) if first < hi else 0.0
+    expected = math.fsum(lam[first - lo:: l].tolist())
     assert short_ap_check(t, delta, l, a).observed.hex() == expected.hex()
+
+
+def test_short_ap_builds_no_dense_progression():
+    tracemalloc.start()
+    try:
+        r = short_ap_check(10**8, 10**6, 3, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20      # the dense progression alone is 333,334 floats
+    assert r.passed
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for the singular series and the main-term constant."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from oracles import (class_number_formula_batch, correction_log_sum, kronecker,
                      lower_bound_diagnostic, per_prime_table_batch,
                      reduced_form_class_numbers)
+from quadprimes.arith import primes_array
 from quadprimes.singular import (DEFAULT_TRUNCATION, _factor_logs,
                                  batch_singular_values, class_numbers,
                                  main_term_constant, singular_error_bound)
@@ -147,6 +149,18 @@ def test_main_term_constant_against_zeta_oracle():
     zeta6 = math.pi**6 / 945
     reference = zeta2 * zeta3_series() / zeta6 / 1.5
     assert main_term_constant(10**6) == pytest.approx(reference, abs=1e-6)
+
+
+def test_main_term_constant_runs_in_one_float_buffer():
+    tracemalloc.start()
+    try:
+        value = main_term_constant(10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.75 * 2**20     # the flags and the primes, then one float per prime
+    p = primes_array(10**6)[1:].astype(np.float64)
+    assert value == math.exp(float(np.log1p(1.0 / (p * (p - 1.0))).sum()))
 
 
 def test_main_term_constant_monotone_in_P():
