@@ -133,9 +133,10 @@ LOG2 = math.log(2)
 class SieveWindow:
     """Von Mangoldt data for [lo, hi), stored for the odd prime powers only.
 
-    With o = lo | 1, pos holds in ascending order the cells j of the odd prime
-    powers o + 2j in [lo, hi), and val[i] = Lambda(o + 2 pos[i]) (natural
-    log); every other odd m has Lambda(m) = 0.  An even m has Lambda(m) =
+    pos holds (m - 1)/2 for each odd prime power m in [lo, hi), ascending, and
+    val[i] = Lambda(2 pos[i] + 1) (natural log); every other odd m has
+    Lambda(m) = 0.  pos does not depend on lo, so the pieces of adjacent
+    windows concatenate into those of their union.  An even m has Lambda(m) =
     log 2 if it is a power of 2 (listed by `powers_of_two`) and 0 otherwise.
     """
     lo: int
@@ -153,7 +154,7 @@ class SieveWindow:
     def lam(self) -> np.ndarray:
         """lam[i] = Lambda(lo + i) for every cell, expanded afresh on each read."""
         out = np.zeros(self.hi - self.lo, dtype=np.float64)
-        out[2 * self.pos + ((self.lo | 1) - self.lo)] = self.val
+        out[2 * self.pos + 1 - self.lo] = self.val
         for m in self.powers_of_two:
             out[m - self.lo] = LOG2
         return out
@@ -168,8 +169,8 @@ def sieve_window(lo: int, hi: int, table: PrimeTable) -> SieveWindow:
     all such p strike in one indexed write; only smaller p loop.  Prime
     powers come from two binary searches, in ps and in the table's powers:
     their cells are flagged with the primes, then take log p for log m.
-    val is built in place from pos, rounding each m = o + 2 pos to a float
-    once, as the int64 m.astype(float) does, also above 2^53."""
+    val is built in place from the cells j of m = o + 2j, o = lo | 1, rounding
+    each m to a float once as int64 m.astype(float) does, also above 2^53."""
     if not 2 <= lo < hi:
         raise ValueError("require 2 <= lo < hi")
     if hi - 1 > INT63_CAP:
@@ -204,4 +205,5 @@ def sieve_window(lo: int, hi: int, table: PrimeTable) -> SieveWindow:
     np.log(val, out=val)
     val[np.searchsorted(pos, power_cells)] = [
         math.log(p) for p in ps[sq:].tolist() + table.bases[i:j].tolist()]
+    pos += o >> 1           # (m - 1)/2 = j + o // 2
     return SieveWindow(lo=lo, hi=hi, pos=pos, val=val)

@@ -105,6 +105,8 @@ def _read_config_file(path: str) -> dict:
         key, raw = (part.strip() for part in line.split("=", 1))
         if key not in _PARAM_TYPES:
             raise CliError(f"{path}:{lineno}: unknown key: {key}")
+        if key == "config":
+            raise CliError(f"{path}:{lineno}: config files do not nest")
         values[key] = _coerce(key, raw)
     return values
 
@@ -193,19 +195,21 @@ def _write_outputs(config: RunConfig, header: str, columns: tuple,
     count = len(columns[0])
     blocks = -(-count // _BLOCK_ROWS)
     split = blocks // 2 * _BLOCK_ROWS if blocks >= _FORK_MIN_BLOCKS else count
+
+    def write_back_half():
+        back.seek(0)        # a failed worker shares the file offset and may leave bytes
+        back.truncate()
+        _write_rows(back, columns, split, count)
+
     # a worker formats the back half into an unnamed file beside the CSV
     with (csv_path.open("wb") as fh,
           tempfile.TemporaryFile(dir=config.output_dir) as back,
-          _worker(lambda: _write_rows(back, columns, split, count), split < count) as join):
+          _worker(write_back_half, split < count) as join):
         fh.write(header.encode() + b"\n")
         _write_rows(fh, columns, 0, split)
-        try:
-            join()
-        except ChildProcessError:
-            _write_rows(fh, columns, split, count)
-        else:
-            back.seek(0)
-            shutil.copyfileobj(back, fh)
+        join()
+        back.seek(0)
+        shutil.copyfileobj(back, fh)
     peaks = worker_peaks.get()
     summary = {
         "command": config.command,

@@ -208,8 +208,8 @@ def polya_vinogradov_check(q: int) -> LemmaReport:
 def short_ap_check(t: int, delta: int, l: int, a: int) -> LemmaReport:
     """Lambda-sum over n = a mod l in (t, t+delta] against delta/phi(l).  l is
     at most t + delta, so euler_phi(l) trial-divides no further than the table.
-    The sum is one math.fsum over the progression's terms in each piece's sparse
-    cells and powers of 2: correctly rounded, however the window is split."""
+    The sum is one math.fsum over the sparse cells with 2 pos + 1 = a (mod l)
+    and the powers of 2 of every piece: correctly rounded, however split."""
     if t < 3 or delta < 1 or not 1 <= l <= t + delta:
         raise ValueError("require t >= 3, delta >= 1 and t + delta >= l >= 1")
     if math.gcd(a, l) != 1:
@@ -220,8 +220,8 @@ def short_ap_check(t: int, delta: int, l: int, a: int) -> LemmaReport:
         for lo, hi in _windows(t, delta, t + delta):     # K at the top: no gap to skip
             win = sieve_window(lo, hi, table)
             twice = win.pos * 2
-            twice %= l                  # m = o + 2 pos = a (mod l) iff 2 pos = a - o
-            yield from win.val[twice == (a - (lo | 1)) % l]     # o = lo | 1
+            twice %= l                  # m = 2 pos + 1 = a (mod l) iff 2 pos = a - 1
+            yield from win.val[twice == (a - 1) % l]
             yield from (LOG2 for m in win.powers_of_two if m % l == a % l)
 
     observed = math.fsum(terms())

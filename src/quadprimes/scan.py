@@ -50,6 +50,8 @@ class ScanConfig:
             object.__setattr__(self, "delta", self.z)
         if self.delta < 0:
             raise ValueError("delta must be non-negative")
+        if self.z + self.delta + self.K >= INT63_CAP:   # before any float of z
+            raise OverflowError("window top exceeds the 2^63-1 cap")
         if not 0 <= self.B < math.inf:
             raise ValueError(f"B must be finite and >= 0, got {self.B}")
         try:
@@ -118,12 +120,13 @@ def progression_sums(t: int, delta: int, K: int):
     """(A_k array, c_k array, stats) for the window (t, t+delta], k = 1..K.
 
     The window is sieved in the pieces of _windows(t, delta, K).  For each n,
-    the odd prime powers m = n^2 + k in [a, b] add their Lambda to the
-    accumulator for k's parity in one unbuffered np.add.at, which meets each
-    k once, and each power of 2 there adds log 2.  For a fixed k, m grows
-    with n, so every A_k is the plain sum of its terms in ascending n.  n
-    counts in c_k for k in (t - n^2, t + delta - n^2], so c_k is the running
-    sum of the starts and ends of those intervals, clipped to [1, K]."""
+    the odd prime powers m = n^2 + k in [a, b], their (m - 1)/2 in [a//2,
+    (b+1)//2) of the piece's pos, add their Lambda at (m - 1)/2 - (n^2+1)//2
+    = (k - 1)//2 of the view for k's parity in one unbuffered np.add.at,
+    which meets each k once; each power of 2 there adds log 2.  For fixed k,
+    m grows with n, so every A_k is the plain sum of its terms in ascending
+    n.  n counts in c_k for k in (t - n^2, t + delta - n^2], so c_k is the
+    running sum of the starts and ends of those intervals, clipped to [1, K]."""
     if t < 0 or delta < 0 or K < 1:
         raise ValueError("require t >= 0, delta >= 0, K >= 1")
     if t + delta + K >= INT63_CAP:
@@ -136,15 +139,12 @@ def progression_sums(t: int, delta: int, K: int):
     windows = cells = 0
     for lo, hi in _windows(t, delta, K):
         win = sieve_window(lo, hi, table)
-        pos, val, o, twos = win.pos, win.val, lo | 1, win.powers_of_two
+        pos, val, twos = win.pos, win.val, win.powers_of_two
         ns = range(math.isqrt(max(lo - K, 1)), math.isqrt(hi - 2) + 1)
         rows = [(n, max(n * n + 1, lo), min(n * n + K, hi - 1)) for n in ns]
-        # each row's odd cells j0 <= j < j1 (none if a | 1 > b), searched in one call
-        cuts = [(((a | 1) - o) // 2, (b - o) // 2 + 1) for _, a, b in rows]
-        for (n, a, b), (j0, _), (s0, s1) in zip(rows, cuts,
-                                                 np.searchsorted(pos, cuts).tolist()):
-            shift = ((a | 1) - n * n - 1) // 2 - j0     # cell j holds k with (k-1)//2 = j + shift
-            np.add.at(by_parity[n & 1], pos[s0:s1] + shift, val[s0:s1])
+        cuts = [(a // 2, (b + 1) // 2) for _, a, b in rows]
+        for (n, a, b), (s0, s1) in zip(rows, np.searchsorted(pos, cuts).tolist()):
+            np.add.at(by_parity[n & 1], pos[s0:s1] - (n * n + 1) // 2, val[s0:s1])
             for m in twos:
                 if a <= m <= b:
                     k = m - n * n
@@ -168,32 +168,28 @@ worker_peaks: ContextVar[list[int] | None] = ContextVar("worker_peaks", default=
 @contextmanager
 def _worker(work: Callable[[], object], wanted: bool):
     """Run work() in a forked child, if wanted and the CPU affinity set has a
-    second CPU.  Yields join(), which returns the child's ru_maxrss (KiB) or
-    raises ChildProcessError if it failed or never started: the caller then
-    does the work itself.  The child ends by os._exit, running no exit hook of
-    the parent's; one not joined when the block exits is killed and reaped."""
+    second CPU.  Yields join(), which returns once work() has run exactly once:
+    in the child, or here if none started or it failed, so that a library error
+    reaches the caller from here.  The child ends by os._exit, skipping the
+    parent's exit hooks; one not joined when the block exits is killed and reaped."""
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     pid = os.fork() if wanted and cpus > 1 and hasattr(os, "fork") else None
     if pid == 0:
-        code = 1
         try:
             work()
-            code = 0
-        finally:
-            os._exit(code)
+            os._exit(0)
+        finally:            # reached only if work() raised
+            os._exit(1)
 
-    def join() -> int:
+    def join() -> None:
         nonlocal pid
-        if pid is None:
-            raise ChildProcessError("no worker was started")
-        _, status, usage = os.wait4(pid, 0)
+        _, status, usage = os.wait4(pid, 0) if pid is not None else (0, 1, None)
         pid = None
         if status:
-            raise ChildProcessError(f"worker exited with status {status:#x}")
-        if (peaks := worker_peaks.get()) is not None:
+            work()
+        elif (peaks := worker_peaks.get()) is not None:
             peaks.append(usage.ru_maxrss)
-        return usage.ru_maxrss
 
     try:
         yield join
@@ -213,23 +209,18 @@ def _window_scans(config: ScanConfig, ts: list[int],
                   P: int) -> Iterator[tuple[int, ScanColumns]]:
     """(t, columns of the window (t, t + delta]) for each t in ts, in order.
 
-    The run's S(k) is computed once and shared by every window's columns: by a
-    worker, into shared memory, while a first window of _FORK_MIN_PIECES
-    pieces or more is sieved; else, or if the worker fails, after that window."""
+    The run's S(k) is computed once, into shared memory, and shared by every
+    window's columns: by a worker while a first window of _FORK_MIN_PIECES
+    pieces or more is sieved, else (or if the worker fails) after that window."""
     K, delta = config.K, config.delta
-    shared = np.frombuffer(mmap.mmap(-1, 8 * K))
-    singular = None
+    singular = np.frombuffer(mmap.mmap(-1, 8 * K))
     first_pieces = itertools.islice(_windows(ts[0], delta, K), _FORK_MIN_PIECES)
-    with _worker(lambda: np.copyto(shared, batch_singular_values(K, P)),
+    with _worker(lambda: np.copyto(singular, batch_singular_values(K, P)),
                  len(list(first_pieces)) >= _FORK_MIN_PIECES) as join:
-        for t in ts:
+        for i, t in enumerate(ts):
             lam, counts, stats = progression_sums(t, delta, K)
-            if singular is None:
-                try:
-                    join()
-                    singular = shared
-                except ChildProcessError:
-                    singular = batch_singular_values(K, P)
+            if i == 0:
+                join()
             yield t, ScanColumns(lambda_sum=lam, count=counts, singular=singular,
                                  residual=lam - singular * counts, stats=stats)
             del lam, counts         # free this window's columns before the next scan

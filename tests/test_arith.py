@@ -332,6 +332,8 @@ def test_sieve_window_split_law():
         left = sieve_window(a, b, table)
         right = sieve_window(b, c, table)
         assert np.array_equal(whole.lam, np.concatenate((left.lam, right.lam)))
+        assert np.array_equal(whole.pos, np.concatenate((left.pos, right.pos)))
+        assert np.array_equal(whole.val, np.concatenate((left.val, right.val)))
 
 
 def test_sieve_window_matches_von_mangoldt_on_random_windows():
@@ -388,8 +390,9 @@ def test_sieve_window_bit_identical_to_full_cell_oracle(kind):
             where = (lo, hi, table.limit)
             assert win.lam.view(np.int64).tolist() == full.view(np.int64).tolist(), where
             odd = full[(lo | 1) - lo:: 2]
-            assert np.array_equal(win.pos, np.flatnonzero(odd)), where
-            assert np.array_equal(win.val.view(np.int64), odd[win.pos].view(np.int64)), where
+            cells = np.flatnonzero(odd)
+            assert np.array_equal(win.pos, cells + (lo | 1) // 2), where
+            assert np.array_equal(win.val.view(np.int64), odd[cells].view(np.int64)), where
 
 
 @pytest.mark.parametrize("lo", [2**53 - 2**20, 2**53 + 1, 2**54 + 3, 2**62 + 513])
@@ -403,7 +406,7 @@ def test_sieve_window_values_round_each_cell_once_above_2_53(lo):
     table = PrimeTable(limit=math.isqrt(hi), primes=primes_array(1000),
                        powers=empty, bases=empty)
     win = sieve_window(lo, hi, table)
-    expected = np.log((2 * win.pos + (lo | 1)).astype(np.float64))
+    expected = np.log((2 * win.pos + 1).astype(np.float64))
     assert win.pos.size > 10**5
     assert np.array_equal(win.val.view(np.int64), expected.view(np.int64))
 

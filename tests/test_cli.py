@@ -103,6 +103,9 @@ def test_config_file_errors(tmp_path):
         parse_config(["moment1", f"--config={bad}"])
     with pytest.raises(CliError, match="cannot read config file"):
         parse_config(["moment1", f"--config={tmp_path}/nope.cfg"])
+    bad.write_text("z = 1000\nconfig = /nonexistent.cfg\n")
+    with pytest.raises(CliError, match=f"^{bad}:2: config files do not nest$"):
+        parse_config(["moment1", "--K=5", f"--config={bad}"])
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +466,14 @@ def test_library_range_error_dispersion_empty_grid(tmp_path, capsys):
         "error: need at least one sample point"]
 
 
+@pytest.mark.parametrize("args", [["moment1", f"--z=1{'0' * 400}", "--K=5"],
+                                  ["scan", "--z=1000", "--K=5", f"--delta=1{'0' * 400}"]])
+def test_window_over_the_cap_is_refused_before_any_warning(tmp_path, capsys, args):
+    assert main([*args, f"--out={tmp_path}/out"]) == 1
+    assert capsys.readouterr().err == "error: window top exceeds the 2^63-1 cap\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["scan", "moment1", "moment2", "dispersion"])
 def test_scan_commands_print_range_warnings(tmp_path, capsys, command):
     assert main([command, *_SMALL_RUNS[command], f"--out={tmp_path}"]) == 0
@@ -527,6 +538,31 @@ def test_failed_worker_leaves_the_library_error_to_the_cli(tmp_path, capfd, monk
     assert main([*_WORKER_RUN, f"--out={tmp_path}"]) == 1
     assert len(workers) == 1 and _no_child_left()
     assert capfd.readouterr().err == f"error: {refusal.value}\n"
+
+
+@pytest.mark.parametrize("module, name, code", [(cli, "_write_rows", 3),
+                                                (scan, "batch_singular_values", 4)])
+def test_failed_worker_is_redone_in_process(tmp_path, monkeypatch, workers, module,
+                                            name, code):
+    parent, real = os.getpid(), getattr(module, name)
+
+    def failing(*args):
+        if os.getpid() == parent:
+            return real(*args)
+        if code == 3:           # the CSV worker leaves bytes in its file first
+            args[0].write(b"junk\n" * 1400)
+            args[0].flush()
+        os._exit(code)
+
+    monkeypatch.setattr(module, name, failing)
+    assert main([*_WORKER_RUN, f"--out={tmp_path}/failed"]) == 0
+    assert len(workers) == 2 and _no_child_left()
+    monkeypatch.setattr(module, name, real)
+    monkeypatch.setattr(scan, "_FORK_MIN_PIECES", 10**9)
+    monkeypatch.setattr(cli, "_FORK_MIN_BLOCKS", 10**9)
+    assert main([*_WORKER_RUN, f"--out={tmp_path}/p"]) == 0
+    assert len(workers) == 2
+    assert _payload(tmp_path / "failed")[:2] == _payload(tmp_path / "p")[:2]
 
 
 @pytest.mark.parametrize("module, name, forks", [(scan, "progression_sums", 1),
