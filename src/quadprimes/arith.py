@@ -2,8 +2,8 @@
 
 Provides:
 - trial-division factorization, Mobius function, Euler totient
-- prime tables and segmented sieve windows carrying Lambda on the odd
-  prime powers
+- prime tables and segmented sieve windows carrying Lambda on the prime
+  powers
 
 Everything downstream (singular series, progression scans, dispersion terms,
 lemma checks) is built on these primitives; Lambda is only ever evaluated
@@ -123,54 +123,42 @@ def primes_up_to(limit: int) -> PrimeTable:
 # ---------------------------------------------------------------------------
 
 # Cells per sieve window of a long scan.  A window keeps one flag byte per odd
-# cell while it sieves (1 MB, inside a 2 MB per-core L2) and 16 bytes per odd
+# cell while it sieves (1 MB, inside a 2 MB per-core L2) and 16 bytes per
 # prime power after; 4M-cell windows were no faster at z = 1e8.
 SEGMENT_SIZE = 1 << 21
-LOG2 = math.log(2)
 
 
 @dataclass(frozen=True)
 class SieveWindow:
-    """Von Mangoldt data for [lo, hi), stored for the odd prime powers only.
+    """Von Mangoldt data for [lo, hi), stored for the prime powers only.
 
-    pos holds (m - 1)/2 for each odd prime power m in [lo, hi), ascending, and
-    val[i] = Lambda(2 pos[i] + 1) (natural log); every other odd m has
-    Lambda(m) = 0.  pos does not depend on lo, so the pieces of adjacent
-    windows concatenate into those of their union.  An even m has Lambda(m) =
-    log 2 if it is a power of 2 (listed by `powers_of_two`) and 0 otherwise.
+    m holds every prime power in [lo, hi), the powers of 2 included, ascending,
+    and val[i] = Lambda(m[i]) (natural log); every other cell has Lambda = 0.
     """
     lo: int
     hi: int
-    pos: np.ndarray
+    m: np.ndarray
     val: np.ndarray
-
-    @property
-    def powers_of_two(self) -> list[int]:
-        """The powers of 2 in [lo, hi), ascending."""
-        return [1 << e for e in range((self.lo - 1).bit_length(),
-                                      (self.hi - 1).bit_length())]
 
     @property
     def lam(self) -> np.ndarray:
         """lam[i] = Lambda(lo + i) for every cell, expanded afresh on each read."""
         out = np.zeros(self.hi - self.lo, dtype=np.float64)
-        out[2 * self.pos + 1 - self.lo] = self.val
-        for m in self.powers_of_two:
-            out[m - self.lo] = LOG2
+        out[self.m - self.lo] = self.val
         return out
 
 
 def sieve_window(lo: int, hi: int, table: PrimeTable) -> SieveWindow:
-    """Sieve Lambda over the odd cells of [lo, hi).
+    """Sieve Lambda over [lo, hi): the odd cells, then the powers of 2.
 
     Requires 2 <= lo < hi and table.limit >= isqrt(hi): smaller tables would
     miss composite witnesses and mislabel composites as prime.  An odd prime
     p at least as large as the odd-cell count strikes at most one cell, so
     all such p strike in one indexed write; only smaller p loop.  Prime
     powers come from two binary searches, in ps and in the table's powers:
-    their cells are flagged with the primes, then take log p for log m.
-    val is built in place from the cells j of m = o + 2j, o = lo | 1, rounding
-    each m to a float once as int64 m.astype(float) does, also above 2^53."""
+    their cells are flagged with the primes, then, with the powers of 2, take
+    log p for log m.  val is log of m.astype(float), which rounds each m once,
+    also above 2^53."""
     if not 2 <= lo < hi:
         raise ValueError("require 2 <= lo < hi")
     if hi - 1 > INT63_CAP:
@@ -194,16 +182,18 @@ def sieve_window(lo: int, hi: int, table: PrimeTable) -> SieveWindow:
     # odd prime powers: squares from the tail of ps, p^e (e >= 3) from the table
     sq = int(np.searchsorted(ps, math.isqrt(o - 1), side="right"))
     i, j = np.searchsorted(table.powers, (o - 1, hi - 1), side="right").tolist()
-    power_cells = (np.concatenate((pe[sq:], table.powers[i:j])) - o) // 2
-    flags[power_cells] = True
-    pos = np.flatnonzero(flags)
+    powers = np.concatenate((pe[sq:], table.powers[i:j]))
+    flags[(powers - o) // 2] = True
+    m = np.flatnonzero(flags)
     del flags
-    val = pos.astype(np.float64)
-    val *= 2
-    val += o & 4095         # exact, then o's high bits (exact as a float): m rounds once
-    val += o - (o & 4095)
+    m *= 2
+    m += o                  # the cell j holds m = o + 2j
+    twos = [1 << e for e in range((lo - 1).bit_length(), (hi - 1).bit_length())]
+    if twos:                # inserted before val exists, so val is never copied
+        m = np.insert(m, np.searchsorted(m, twos), twos)
+        powers = np.concatenate((powers, twos))
+    val = m.astype(np.float64)
     np.log(val, out=val)
-    val[np.searchsorted(pos, power_cells)] = [
-        math.log(p) for p in ps[sq:].tolist() + table.bases[i:j].tolist()]
-    pos += o >> 1           # (m - 1)/2 = j + o // 2
-    return SieveWindow(lo=lo, hi=hi, pos=pos, val=val)
+    val[np.searchsorted(m, powers)] = [
+        math.log(p) for p in ps[sq:].tolist() + table.bases[i:j].tolist() + [2] * len(twos)]
+    return SieveWindow(lo=lo, hi=hi, m=m, val=val)

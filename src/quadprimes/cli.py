@@ -299,7 +299,8 @@ def _run_lemmas(p: dict):
 
 def _run_singular(p: dict):
     K, P = p["K"], p["P"]
-    return "k,P,value", (range(1, K + 1), [P] * K, batch_singular_values(K, P)), {}
+    values = batch_singular_values(K, P)      # refuses an over-cap K before [P] * K
+    return "k,P,value", (range(1, K + 1), [P] * K, values), {}
 
 
 def _run_constant(p: dict):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._stream import Stream
-from .arith import (LOG2, euler_phi, factorize, mobius, primes_array, primes_up_to,
+from .arith import (euler_phi, factorize, mobius, primes_array, primes_up_to,
                     sieve_window)
 from .characters import MAX_MODULUS, build_character_group, primitive_characters
 from .scan import _windows
@@ -208,8 +208,8 @@ def polya_vinogradov_check(q: int) -> LemmaReport:
 def short_ap_check(t: int, delta: int, l: int, a: int) -> LemmaReport:
     """Lambda-sum over n = a mod l in (t, t+delta] against delta/phi(l).  l is
     at most t + delta, so euler_phi(l) trial-divides no further than the table.
-    The sum is one math.fsum over the sparse cells with 2 pos + 1 = a (mod l)
-    and the powers of 2 of every piece: correctly rounded, however split."""
+    The sum is one math.fsum over the prime powers m = a (mod l) of every
+    piece: correctly rounded, however split."""
     if t < 3 or delta < 1 or not 1 <= l <= t + delta:
         raise ValueError("require t >= 3, delta >= 1 and t + delta >= l >= 1")
     if math.gcd(a, l) != 1:
@@ -219,10 +219,7 @@ def short_ap_check(t: int, delta: int, l: int, a: int) -> LemmaReport:
     def terms():
         for lo, hi in _windows(t, delta, t + delta):     # K at the top: no gap to skip
             win = sieve_window(lo, hi, table)
-            twice = win.pos * 2
-            twice %= l                  # m = 2 pos + 1 = a (mod l) iff 2 pos = a - 1
-            yield from win.val[twice == (a - 1) % l]
-            yield from (LOG2 for m in win.powers_of_two if m % l == a % l)
+            yield from win.val[win.m % l == a % l]
 
     observed = math.fsum(terms())
     reference = delta / euler_phi(l)

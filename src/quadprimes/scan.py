@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._stream import Stream
-from .arith import INT63_CAP, LOG2, SEGMENT_SIZE, primes_up_to, sieve_window
-from .singular import DEFAULT_TRUNCATION, batch_singular_values
+from .arith import INT63_CAP, SEGMENT_SIZE, primes_up_to, sieve_window
+from .singular import DEFAULT_TRUNCATION, _check_batch, batch_singular_values
 
 
 @dataclass(frozen=True)
@@ -120,38 +120,30 @@ def progression_sums(t: int, delta: int, K: int):
     """(A_k array, c_k array, stats) for the window (t, t+delta], k = 1..K.
 
     The window is sieved in the pieces of _windows(t, delta, K).  For each n,
-    the odd prime powers m = n^2 + k in [a, b], their (m - 1)/2 in [a//2,
-    (b+1)//2) of the piece's pos, add their Lambda at (m - 1)/2 - (n^2+1)//2
-    = (k - 1)//2 of the view for k's parity in one unbuffered np.add.at,
-    which meets each k once; each power of 2 there adds log 2.  For fixed k,
-    m grows with n, so every A_k is the plain sum of its terms in ascending
-    n.  n counts in c_k for k in (t - n^2, t + delta - n^2], so c_k is the
+    the prime powers m = n^2 + k (k <= K) of a piece are one slice of its m,
+    cut by np.searchsorted, and add their Lambda at m - (n^2 + 1) = k - 1 of
+    A in one unbuffered np.add.at, which meets each k once.  For fixed k, m
+    grows with n, so every A_k is the plain sum of its terms in ascending n.
+    n counts in c_k for k in (t - n^2, t + delta - n^2], so c_k is the
     running sum of the starts and ends of those intervals, clipped to [1, K]."""
     if t < 0 or delta < 0 or K < 1:
         raise ValueError("require t >= 0, delta >= 0, K >= 1")
     if t + delta + K >= INT63_CAP:
         raise OverflowError("window top exceeds the 2^63-1 cap")
     table = primes_up_to(math.isqrt(t + delta) + 1) if delta else None
-    # An even n lands odd m only on odd k, an odd n only on even k, so each
-    # parity of k gets its own view of A: k sits at (k-1)//2 in it.
     lambda_sums = np.zeros(K)
-    by_parity = lambda_sums[0::2], lambda_sums[1::2]
     windows = cells = 0
     for lo, hi in _windows(t, delta, K):
         win = sieve_window(lo, hi, table)
-        pos, val, twos = win.pos, win.val, win.powers_of_two
-        ns = range(math.isqrt(max(lo - K, 1)), math.isqrt(hi - 2) + 1)
-        rows = [(n, max(n * n + 1, lo), min(n * n + K, hi - 1)) for n in ns]
-        cuts = [(a // 2, (b + 1) // 2) for _, a, b in rows]
-        for (n, a, b), (s0, s1) in zip(rows, np.searchsorted(pos, cuts).tolist()):
-            np.add.at(by_parity[n & 1], pos[s0:s1] - (n * n + 1) // 2, val[s0:s1])
-            for m in twos:
-                if a <= m <= b:
-                    k = m - n * n
-                    by_parity[1 - (k & 1)][(k - 1) // 2] += LOG2
+        m, val = win.m, win.val
+        firsts = [n * n + 1 for n in range(math.isqrt(max(lo - K, 1)),
+                                           math.isqrt(hi - 2) + 1)]
+        cuts = np.searchsorted(m, [(first, first + K) for first in firsts]).tolist()
+        for first, (s0, s1) in zip(firsts, cuts):
+            np.add.at(lambda_sums, m[s0:s1] - first, val[s0:s1])
         windows += 1
         cells += hi - lo
-        del win, pos, val               # free this window before sieving the next
+        del win, m, val                 # free this window before sieving the next
     ns = np.arange(max(math.isqrt(max(t - K, 0)), 1), math.isqrt(t + delta) + 1,
                    dtype=np.int64)
     squares = ns * ns
@@ -213,6 +205,7 @@ def _window_scans(config: ScanConfig, ts: list[int],
     window's columns: by a worker while a first window of _FORK_MIN_PIECES
     pieces or more is sieved, else (or if the worker fails) after that window."""
     K, delta = config.K, config.delta
+    _check_batch(K, P)          # refuse an over-cap S(k) before any window is sieved
     singular = np.frombuffer(mmap.mmap(-1, 8 * K))
     first_pieces = itertools.islice(_windows(ts[0], delta, K), _FORK_MIN_PIECES)
     with _worker(lambda: np.copyto(singular, batch_singular_values(K, P)),

@@ -111,6 +111,19 @@ def class_numbers(K: int) -> np.ndarray:
     return h
 
 
+def _check_batch(K: int, P: int) -> None:
+    """Refuse the (K, P) that batch_singular_values refuses, allocating nothing."""
+    if K < 1:
+        raise ValueError("K must be positive")
+    if P < 3:
+        raise ValueError("P must be >= 3")
+    cells = (1.25506 * P / math.log(P) * max(P, K + 1)
+             + _STRIDED_CELL_WEIGHT * K**1.5 / math.sqrt(3))
+    if cells > MAX_BATCH_CELLS:
+        raise ValueError(f"S(k) for K={K} with P={P} needs about {cells:.2e} cell "
+                         f"updates, over the cap of {MAX_BATCH_CELLS:.0e}; lower K or P")
+
+
 def batch_singular_values(K: int, P: int) -> np.ndarray:
     """S(k) for k = 1..K with the correction product cut at P, as a float array.
 
@@ -124,15 +137,7 @@ def batch_singular_values(K: int, P: int) -> np.ndarray:
     K^(3/2) / sqrt(3) in all.  Calls over MAX_BATCH_CELLS are refused before
     anything is allocated.
     """
-    if K < 1:
-        raise ValueError("K must be positive")
-    if P < 3:
-        raise ValueError("P must be >= 3")
-    cells = (1.25506 * P / math.log(P) * max(P, K + 1)
-             + _STRIDED_CELL_WEIGHT * K**1.5 / math.sqrt(3))
-    if cells > MAX_BATCH_CELLS:
-        raise ValueError(f"S(k) for K={K} with P={P} needs about {cells:.2e} cell "
-                         f"updates, over the cap of {MAX_BATCH_CELLS:.0e}; lower K or P")
+    _check_batch(K, P)
     acc = np.zeros(K + 1)
     _add_patterns(acc, primes_array(P)[1:])   # the odd primes
     k = np.arange(1, K + 1)

@@ -332,7 +332,7 @@ def test_sieve_window_split_law():
         left = sieve_window(a, b, table)
         right = sieve_window(b, c, table)
         assert np.array_equal(whole.lam, np.concatenate((left.lam, right.lam)))
-        assert np.array_equal(whole.pos, np.concatenate((left.pos, right.pos)))
+        assert np.array_equal(whole.m, np.concatenate((left.m, right.m)))
         assert np.array_equal(whole.val, np.concatenate((left.val, right.val)))
 
 
@@ -389,10 +389,9 @@ def test_sieve_window_bit_identical_to_full_cell_oracle(kind):
             full = sieve_window_full(lo, hi, table)
             where = (lo, hi, table.limit)
             assert win.lam.view(np.int64).tolist() == full.view(np.int64).tolist(), where
-            odd = full[(lo | 1) - lo:: 2]
-            cells = np.flatnonzero(odd)
-            assert np.array_equal(win.pos, cells + (lo | 1) // 2), where
-            assert np.array_equal(win.val.view(np.int64), odd[cells].view(np.int64)), where
+            cells = np.flatnonzero(full)
+            assert np.array_equal(win.m, cells + lo), where
+            assert np.array_equal(win.val.view(np.int64), full[cells].view(np.int64)), where
 
 
 @pytest.mark.parametrize("lo", [2**53 - 2**20, 2**53 + 1, 2**54 + 3, 2**62 + 513])
@@ -400,15 +399,18 @@ def test_sieve_window_values_round_each_cell_once_above_2_53(lo):
     # a table whose limit admits the window but which holds only the primes up
     # to 1000 and no p^e: every unstruck odd cell is kept, and val is plain log m.
     # Below 2^54 log hides a one-ulp slip in m; the two windows above it show
-    # thousands of slipped logs when m is rounded twice (o first, then o + 2 pos).
+    # thousands of slipped logs when m is rounded twice.  The only even m is 2^53.
     hi = lo + SEGMENT_SIZE
     empty = np.zeros(0, dtype=np.int64)
     table = PrimeTable(limit=math.isqrt(hi), primes=primes_array(1000),
                        powers=empty, bases=empty)
     win = sieve_window(lo, hi, table)
-    expected = np.log((2 * win.pos + 1).astype(np.float64))
-    assert win.pos.size > 10**5
-    assert np.array_equal(win.val.view(np.int64), expected.view(np.int64))
+    odd = win.m % 2 == 1
+    expected = np.log(win.m[odd].astype(np.float64))
+    assert odd.sum() > 10**5
+    assert np.array_equal(win.val[odd].view(np.int64), expected.view(np.int64))
+    assert win.m[~odd].tolist() == ([2**53] if lo < 2**53 else [])
+    assert win.val[~odd].tolist() == ([math.log(2)] if lo < 2**53 else [])
 
 
 def test_sieve_window_holds_no_piece_sized_temporary():
@@ -421,7 +423,7 @@ def test_sieve_window_holds_no_piece_sized_temporary():
     finally:
         tracemalloc.stop()
     flag_bytes = SEGMENT_SIZE // 2          # one byte per odd cell
-    assert peak <= flag_bytes + 8 * win.pos.size + 128 * 1024
+    assert peak <= flag_bytes + 8 * win.m.size + 128 * 1024
 
 
 def test_prime_table_powers_cover_the_sieve_range():

@@ -17,7 +17,6 @@ import pytest
 import quadprimes.arith as arith
 import quadprimes.cli as cli
 import quadprimes.scan as scan
-import quadprimes.singular as singular
 from quadprimes.cli import CliError, RunConfig, main, parse_config
 from quadprimes.lemmas import LemmaReport
 from quadprimes.scan import ScanConfig, full_window_moment
@@ -256,6 +255,25 @@ def test_singular_refuses_an_oversized_batch(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith(f"error: S(k) for K={K} with P={P} needs about {estimate} cell")
         assert not (tmp_path / "results.csv").exists()
+
+
+def test_an_oversized_batch_is_refused_before_any_work(tmp_path, capsys, monkeypatch):
+    def not_called(*args):
+        raise AssertionError("sieve_window ran")
+
+    monkeypatch.setattr(scan, "sieve_window", not_called)
+    with pytest.raises(ValueError) as refusal:
+        batch_singular_values(10**7, DEFAULT_TRUNCATION)
+    assert _refused(["moment1", "--z=100000000", "--K=10000000"], tmp_path, capsys) == [
+        f"error: {refusal.value}"]
+    tracemalloc.start()                 # no [P] * K column before the refusal
+    try:
+        assert main(["singular", "--K=20000000", f"--out={tmp_path}"]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+    assert capsys.readouterr().err.startswith("error: S(k) for K=20000000 with P=")
 
 
 def test_health_reports_the_singular_error_bound(tmp_path):
@@ -532,9 +550,12 @@ def test_worker_paths_write_the_in_process_files(tmp_path, monkeypatch, workers)
 
 def test_failed_worker_leaves_the_library_error_to_the_cli(tmp_path, capfd, monkeypatch,
                                                           workers):
-    monkeypatch.setattr(singular, "MAX_BATCH_CELLS", 1)
+    def refusing(K, P):
+        raise ValueError(f"S(k) refused for K={K} with P={P}")
+
+    monkeypatch.setattr(scan, "batch_singular_values", refusing)
     with pytest.raises(ValueError) as refusal:
-        singular.batch_singular_values(3000, DEFAULT_TRUNCATION)
+        scan.batch_singular_values(3000, DEFAULT_TRUNCATION)
     assert main([*_WORKER_RUN, f"--out={tmp_path}"]) == 1
     assert len(workers) == 1 and _no_child_left()
     assert capfd.readouterr().err == f"error: {refusal.value}\n"

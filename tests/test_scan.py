@@ -146,6 +146,7 @@ def test_scan_with_tiny_segments_matches_default(monkeypatch):
     (10**7, 3 * 10**6, 3000, SEGMENT_SIZE),  # two, at the production size
     (10**7, 10**6, 2000, 99_999),
     (10**6, 10**5, 50, 257),     # the gaps between n-windows outgrow a window
+    (2**27 - 4097, 8192, 6000, 4096),   # 2^27 is a piece's first cell: k = 5503, n = 11585
 ])
 def test_progression_sums_bit_identical_to_full_cell_scan(monkeypatch, t, delta, K,
                                                           seg_size):
