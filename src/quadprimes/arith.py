@@ -140,13 +140,6 @@ class SieveWindow:
     m: np.ndarray
     val: np.ndarray
 
-    @property
-    def lam(self) -> np.ndarray:
-        """lam[i] = Lambda(lo + i) for every cell, expanded afresh on each read."""
-        out = np.zeros(self.hi - self.lo, dtype=np.float64)
-        out[self.m - self.lo] = self.val
-        return out
-
 
 def sieve_window(lo: int, hi: int, table: PrimeTable) -> SieveWindow:
     """Sieve Lambda over [lo, hi): the odd cells, then the powers of 2.

@@ -279,8 +279,7 @@ def _run_dispersion(p: dict):
                                           grid_points=p["grid"], seed=p["seed"])
     columns = [[getattr(s, name) for s in samples]
                for name in ("t", "U", "V", "W", "combined", "direct_square", "main_term")]
-    return ("t,U,V,W,combined,direct_square,main_term,E",
-            (*columns, [summary["E"]] * len(samples)), {"profile": summary})
+    return "t,U,V,W,combined,direct_square,main_term", columns, {"profile": summary}
 
 
 def _run_lemmas(p: dict):
@@ -298,9 +297,7 @@ def _run_lemmas(p: dict):
 
 
 def _run_singular(p: dict):
-    K, P = p["K"], p["P"]
-    values = batch_singular_values(K, P)      # refuses an over-cap K before [P] * K
-    return "k,P,value", (range(1, K + 1), [P] * K, values), {}
+    return "k,value", (range(1, p["K"] + 1), batch_singular_values(p["K"], p["P"])), {}
 
 
 def _run_constant(p: dict):

@@ -100,8 +100,9 @@ def phi_average_check(x: int) -> LemmaReport:
 def phi_average_sum(x: int) -> float:
     """Exact sum_{q<=x} q/phi(4q) via a totient sieve (phi(4q) = 2 phi(q) for
     odd q, 4 phi(q) for even q)."""
+    primes = primes_array(max(2, x))        # refuses an over-cap x before phi exists
     phi = np.arange(x + 1, dtype=np.int64)
-    for p in primes_array(max(2, x)).tolist():
+    for p in primes.tolist():
         phi[p::p] -= phi[p::p] // p
     q = np.arange(1, x + 1, dtype=np.float64)
     phi4 = np.where(np.arange(1, x + 1) % 2 == 0, 4 * phi[1:], 2 * phi[1:])
@@ -205,6 +206,13 @@ def polya_vinogradov_check(q: int) -> LemmaReport:
 # Short-interval statistics
 # ---------------------------------------------------------------------------
 
+def _pieces(t: int, delta: int, table):
+    """(m, val) of each sieve piece of (t, t+delta], ascending, one at a time."""
+    for lo, hi in _windows(t, delta, t + delta):     # K at the top: no gap to skip
+        win = sieve_window(lo, hi, table)
+        yield win.m, win.val
+
+
 def short_ap_check(t: int, delta: int, l: int, a: int) -> LemmaReport:
     """Lambda-sum over n = a mod l in (t, t+delta] against delta/phi(l).  l is
     at most t + delta, so euler_phi(l) trial-divides no further than the table.
@@ -215,13 +223,8 @@ def short_ap_check(t: int, delta: int, l: int, a: int) -> LemmaReport:
     if math.gcd(a, l) != 1:
         raise ValueError(f"require gcd(a, l) = 1, got gcd({a}, {l}) = {math.gcd(a, l)}")
     table = primes_up_to(math.isqrt(t + delta) + 1)
-
-    def terms():
-        for lo, hi in _windows(t, delta, t + delta):     # K at the top: no gap to skip
-            win = sieve_window(lo, hi, table)
-            yield from win.val[win.m % l == a % l]
-
-    observed = math.fsum(terms())
+    observed = math.fsum(x for m, val in _pieces(t, delta, table)
+                         for x in val[m % l == a % l])
     reference = delta / euler_phi(l)
     params = {"t": t, "delta": delta, "l": l, "a": a, "tol": SHORT_AP_TOL}
     return _report("SHORT_AP", params, observed, reference,
@@ -235,10 +238,10 @@ def _require_samples(samples: int) -> None:
 
 def _mean_square(lemma_id: str, square, z: int, delta_exp: float, M_frac: float,
                  samples: int, seed: int, extra: dict) -> LemmaReport:
-    """Monte-Carlo mean over t in (z, 2z] of square(t, M, lam), where lam is
-    Lambda on (t, t+M], against delta^2 / (log z)^C0 with delta = z^delta_exp
-    and M = M_frac delta; extra holds the caller's own parameters.  The
-    caller has checked samples with _require_samples.
+    """Monte-Carlo mean over t in (z, 2z] of square(pieces, M), where pieces
+    are the _pieces of (t, t+M], against delta^2 / (log z)^C0 with
+    delta = z^delta_exp and M = M_frac delta; extra holds the caller's own
+    parameters.  The caller has checked samples with _require_samples.
     """
     delta = int(round(z**delta_exp))
     M = int(round(M_frac * delta))
@@ -251,10 +254,7 @@ def _mean_square(lemma_id: str, square, z: int, delta_exp: float, M_frac: float,
         return _report(lemma_id, params, 0.0, reference, True, seed)
     ts = Stream(seed).integers(z + 1, 2 * z + 1, samples)
     table = primes_up_to(math.isqrt(2 * z + M) + 1)
-    vals = []
-    for t in ts:
-        vals.append(square(t, M, sieve_window(t + 1, t + M + 1, table).lam))
-    estimate = float(np.mean(vals))
+    estimate = float(np.mean([square(_pieces(t, M, table), M) for t in ts]))
     return _report(lemma_id, params, estimate, reference,
                    estimate <= reference, seed)
 
@@ -266,8 +266,8 @@ def mean_square_check(z: int, delta_exp: float = 0.4, M_frac: float = 1.0,
     """
     _require_samples(samples)
 
-    def square(t, M, lam):
-        return (float(lam.sum()) - M) ** 2
+    def square(pieces, M):
+        return (math.fsum(x for _, val in pieces for x in val) - M) ** 2
 
     return _mean_square("MEAN_SQ", square, z, delta_exp, M_frac, samples, seed, {})
 
@@ -286,9 +286,9 @@ def mean_square_twisted_check(z: int, delta_exp: float = 0.4, M_frac: float = 1.
         raise ValueError("chi must be non-principal")
     row = chi.values()
 
-    def square(t, M, lam):
-        chivals = row[np.arange(t + 1, t + M + 1, dtype=np.int64) % q]
-        return abs(complex((lam * chivals).sum())) ** 2
+    def square(pieces, M):
+        w = np.concatenate([val * row[m % q] for m, val in pieces])
+        return abs(complex(math.fsum(w.real), math.fsum(w.imag))) ** 2
 
     return _mean_square("MEAN_SQ_TWISTED", square, z, delta_exp, M_frac, samples,
                         seed, {"q": q, "chi_index": chi_index})

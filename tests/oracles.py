@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from quadprimes import ScanConfig
-from quadprimes.arith import (INT63_CAP, PrimeTable, euler_phi, factorize, primes_array,
-                              primes_up_to, sieve_window)
+from quadprimes.arith import (INT63_CAP, PrimeTable, SieveWindow, euler_phi, factorize,
+                              primes_array, primes_up_to)
 from quadprimes.characters import Character, CharacterTable, build_character_group
 from quadprimes.dispersion import DispersionSample, identity_check
 from quadprimes.scan import ScanColumns, progression_sums
@@ -126,6 +126,13 @@ def sieve_window_full(lo: int, hi: int, table: PrimeTable) -> np.ndarray:
                 lam[pe - lo] = lp
             pe *= p
     return lam
+
+
+def dense_lambda(win: SieveWindow) -> np.ndarray:
+    """Lambda(win.lo + i) for every cell of [win.lo, win.hi), from win.m and win.val."""
+    out = np.zeros(win.hi - win.lo, dtype=np.float64)
+    out[win.m - win.lo] = win.val
+    return out
 
 
 def progression_sums_full(t: int, delta: int, K: int, table: PrimeTable) -> np.ndarray:
@@ -349,7 +356,7 @@ def theorem2_exact_integral(config: ScanConfig, P: int = DEFAULT_TRUNCATION,
     if z > z_cap:
         raise ValueError(f"exact integration is capped at z <= {z_cap}")
     table = primes_up_to(math.isqrt(2 * z + delta) + 1)
-    lam_all = sieve_window(z + 1, 2 * z + delta + 1, table).lam
+    lam_all = sieve_window_full(z + 1, 2 * z + delta + 1, table)
     sing = batch_singular_values(K, P)
     lam = progression_sums_full(z, delta, K, table)
     counts = np.array([window_count(k, z, delta) for k in range(1, K + 1)],
@@ -405,7 +412,7 @@ def mean_square_exact(z: int, delta_exp: float, M_frac: float,
     if M == 0:
         return 0.0
     table = primes_up_to(math.isqrt(2 * z + M) + 1)
-    lam = sieve_window(z + 1, 2 * z + M + 1, table).lam
+    lam = sieve_window_full(z + 1, 2 * z + M + 1, table)
     cum = np.concatenate(([0.0], np.cumsum(lam)))
     inc = cum[M: M + z] - cum[:z]  # psi(j+M) - psi(j) for j = z .. 2z-1
     return float(((inc - M) ** 2).mean())

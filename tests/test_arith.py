@@ -10,8 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import quadprimes.arith
-from oracles import (_ceil_sqrt, integer_nth_root, is_prime, isqrt_array, kronecker,
-                     perfect_power_base, sieve_window_full, von_mangoldt)
+from oracles import (_ceil_sqrt, dense_lambda, integer_nth_root, is_prime, isqrt_array,
+                     kronecker, perfect_power_base, sieve_window_full, von_mangoldt)
 from quadprimes.arith import (INT63_CAP, SEGMENT_SIZE, PrimeTable, euler_phi, mobius,
                               primes_array, primes_up_to, sieve_window)
 
@@ -282,8 +282,7 @@ def test_von_mangoldt_full_sweep_against_oracle():
 
 def test_chebyshev_psi_ratio():
     table = primes_up_to(1100)
-    win = sieve_window(2, 10**6 + 1, table)
-    ratio = float(win.lam.sum()) / 10**6
+    ratio = float(dense_lambda(sieve_window(2, 10**6 + 1, table)).sum()) / 10**6
     assert 0.99 <= ratio <= 1.01
 
 
@@ -292,33 +291,33 @@ def test_chebyshev_psi_ratio():
 # ---------------------------------------------------------------------------
 
 def test_sieve_window_small_example():
-    win = sieve_window(2, 12, primes_up_to(4))
+    lam = dense_lambda(sieve_window(2, 12, primes_up_to(4)))
     primes = {2, 3, 5, 7, 11}
     nonzero = {2, 3, 4, 5, 7, 8, 9, 11}
     for n in range(2, 12):
-        assert (win.lam[n - 2] == pytest.approx(math.log(n), rel=1e-12)) == (n in primes)
-        assert (win.lam[n - 2] > 0) == (n in nonzero)
-    assert win.lam[4 - 2] == pytest.approx(math.log(2), rel=1e-12)
-    assert win.lam[9 - 2] == pytest.approx(math.log(3), rel=1e-12)
+        assert (lam[n - 2] == pytest.approx(math.log(n), rel=1e-12)) == (n in primes)
+        assert (lam[n - 2] > 0) == (n in nonzero)
+    assert lam[4 - 2] == pytest.approx(math.log(2), rel=1e-12)
+    assert lam[9 - 2] == pytest.approx(math.log(3), rel=1e-12)
 
 
 def test_sieve_window_composite_singleton():
-    win = sieve_window(100, 101, primes_up_to(11))
-    assert len(win.lam) == 1
-    assert win.lam[0] == 0.0
+    lam = dense_lambda(sieve_window(100, 101, primes_up_to(11)))
+    assert len(lam) == 1
+    assert lam[0] == 0.0
 
 
 def test_sieve_window_invariants():
     table = primes_up_to(1000)
-    win = sieve_window(500, 1500, table)
-    assert len(win.lam) == 1000
-    for i in range(len(win.lam)):
-        n = win.lo + i
-        assert (win.lam[i] == pytest.approx(math.log(n), rel=1e-12)) == is_prime(n)
-        if win.lam[i] > 0:
+    lam = dense_lambda(sieve_window(500, 1500, table))
+    assert len(lam) == 1000
+    for i in range(len(lam)):
+        n = 500 + i
+        assert (lam[i] == pytest.approx(math.log(n), rel=1e-12)) == is_prime(n)
+        if lam[i] > 0:
             base, _ = perfect_power_base(n)
             assert is_prime(base)
-            assert win.lam[i] == pytest.approx(math.log(base), rel=1e-12)
+            assert lam[i] == pytest.approx(math.log(base), rel=1e-12)
 
 
 def test_sieve_window_split_law():
@@ -331,7 +330,6 @@ def test_sieve_window_split_law():
         whole = sieve_window(a, c, table)
         left = sieve_window(a, b, table)
         right = sieve_window(b, c, table)
-        assert np.array_equal(whole.lam, np.concatenate((left.lam, right.lam)))
         assert np.array_equal(whole.m, np.concatenate((left.m, right.m)))
         assert np.array_equal(whole.val, np.concatenate((left.val, right.val)))
 
@@ -342,7 +340,7 @@ def test_sieve_window_matches_von_mangoldt_on_random_windows():
     for _ in range(300):
         lo = rng.randint(2, 10**9)
         hi = lo + rng.randint(1, 1500)
-        lam = sieve_window(lo, hi, table).lam
+        lam = dense_lambda(sieve_window(lo, hi, table))
         for i in rng.sample(range(hi - lo), min(20, hi - lo)):
             assert lam[i] == pytest.approx(von_mangoldt(lo + i), rel=1e-12, abs=1e-15)
         total = sum(von_mangoldt(n) for n in range(lo, hi))
@@ -388,7 +386,6 @@ def test_sieve_window_bit_identical_to_full_cell_oracle(kind):
                 assert len(range(lo | 1, hi, 2)) <= 3
             full = sieve_window_full(lo, hi, table)
             where = (lo, hi, table.limit)
-            assert win.lam.view(np.int64).tolist() == full.view(np.int64).tolist(), where
             cells = np.flatnonzero(full)
             assert np.array_equal(win.m, cells + lo), where
             assert np.array_equal(win.val.view(np.int64), full[cells].view(np.int64)), where

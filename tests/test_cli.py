@@ -178,6 +178,16 @@ def _refused(argv, out, capsys) -> list[str]:
             if not ln.startswith("warning: ")]
 
 
+def test_dispersion_rows_leave_the_reference_error_to_the_summary(tmp_path):
+    assert main(["dispersion", "--z=1000", "--K=20", "--delta=300", "--grid=3",
+                 f"--out={tmp_path}"]) == 0
+    lines = (tmp_path / "results.csv").read_text().splitlines()
+    assert lines[0] == "t,U,V,W,combined,direct_square,main_term"
+    assert {len(ln.split(",")) for ln in lines[1:]} == {7}
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["profile"]["E"] > 0
+
+
 def test_dispersion_zero_delta(tmp_path, capsys):
     # an empty window has no dispersion terms: E = 0 made NaN in summary.json
     assert _refused(["dispersion", "--z=1000", "--K=5", "--delta=0", "--grid=4"],
@@ -222,10 +232,11 @@ def test_singular_and_constant_commands(tmp_path):
     code = main(["singular", "--K=8", "--P=1000", f"--out={tmp_path}/s"])
     assert code == 0
     lines = (tmp_path / "s" / "results.csv").read_text().strip().splitlines()
-    assert lines[0] == "k,P,value"
+    assert lines[0] == "k,value"
     assert len(lines) == 9
-    assert lines[1].startswith("1,1000,")
+    assert lines[1].startswith("1,")
     summary = json.loads((tmp_path / "s" / "summary.json").read_text())
+    assert summary["parameters"]["P"] == 1000
     assert summary["health"] == {"singular_error_bound": singular_error_bound(1000)}
     code = main(["constant", "--P=1000", f"--out={tmp_path}/c"])
     assert code == 0
@@ -239,7 +250,7 @@ def test_singular_columns_are_the_batch_and_its_bound(tmp_path, K, P):
     assert main(["singular", f"--K={K}", f"--P={P}", f"--out={tmp_path}"]) == 0
     text = (tmp_path / "results.csv").read_text()
     rows = [r.split(",") for r in text.splitlines()[1:]]
-    values = np.array([float(r[2]) for r in rows])
+    values = np.array([float(r[1]) for r in rows])
     full = batch_singular_values(K, P)
     assert values.view(np.int64).tolist() == full.view(np.int64).tolist()
     summary = json.loads((tmp_path / "summary.json").read_text())

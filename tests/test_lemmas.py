@@ -1,5 +1,6 @@
 """Tests for the lemma verification operations."""
 
+import functools
 import math
 import random
 import tracemalloc
@@ -9,10 +10,12 @@ import pytest
 
 import quadprimes.arith
 import quadprimes.lemmas
+import quadprimes.scan
 from oracles import (kronecker, mean_square_exact, polya_vinogradov_max,
                      sieve_window_full, von_mangoldt)
-from quadprimes.arith import euler_phi, mobius, primes_up_to
-from quadprimes.characters import MAX_MODULUS
+from quadprimes._stream import Stream
+from quadprimes.arith import SEGMENT_SIZE, euler_phi, mobius, primes_up_to
+from quadprimes.characters import MAX_MODULUS, build_character_group
 from quadprimes.lemmas import (_jacobi_table, default_grid, large_sieve_avg_check,
                                large_sieve_single_check, legendre_sum_check,
                                mean_square_check, mean_square_twisted_check, phi_average_check,
@@ -114,6 +117,19 @@ def test_phi_average_deviation_bounded():
         assert r.passed
         ratios.append(abs(r.observed - r.reference) / math.log(x))
     assert max(ratios) <= 5.0
+
+
+def test_phi_average_refuses_an_over_cap_x_before_the_totient_array(monkeypatch):
+    # the totient array of x = 1e6 alone is 7.6 MiB
+    monkeypatch.setattr(quadprimes.arith, "MAX_PRIME_LIMIT", 1000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            phi_average_check(10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +396,55 @@ def test_mean_square_twisted_refuses_before_building_the_group():
         finally:
             tracemalloc.stop()
         assert peak < 1e6, (samples, chi_index)
+
+
+@functools.lru_cache(maxsize=None)
+def _mean_square_oracle(z, delta_exp, M_frac, samples, seed, q, chi_index):
+    """np.mean over the seeded t of the squared window sum, each sum one
+    math.fsum over a full-cell sieve of (t, t+M]; q = 1 is the plain check
+    (main term M), any other q twists by that character (real and imaginary
+    parts summed apart)."""
+    M = int(round(M_frac * int(round(z**delta_exp))))
+    table = primes_up_to(math.isqrt(2 * z + M) + 1)
+    row = build_character_group(q).characters[chi_index].values()
+    squares = []
+    for t in Stream(seed).integers(z + 1, 2 * z + 1, samples):
+        lam = sieve_window_full(t + 1, t + M + 1, table)
+        if q == 1:
+            squares.append((math.fsum(lam.tolist()) - M) ** 2)
+        else:
+            w = lam * row[np.arange(t + 1, t + M + 1) % q]
+            squares.append(abs(complex(math.fsum(w.real), math.fsum(w.imag))) ** 2)
+    return float(np.mean(squares))
+
+
+@pytest.mark.parametrize("seg_size", [SEGMENT_SIZE, 64])
+@pytest.mark.parametrize("q, chi_index", [(1, 0), (3, 1), (5, 1)])
+@pytest.mark.parametrize("z, delta_exp, M_frac, samples, seed", [
+    (10**8, 0.4, 0.2, 200, 0),          # the default grid's draw
+    (10**6, 0.5, 1.0, 40, 3),
+])
+def test_mean_square_observed_bit_identical_to_full_cell_sums(
+        monkeypatch, z, delta_exp, M_frac, samples, seed, q, chi_index, seg_size):
+    # each window sum is correctly rounded, so the cut into pieces cannot show
+    monkeypatch.setattr(quadprimes.scan, "SEGMENT_SIZE", seg_size)
+    if q == 1:
+        r = mean_square_check(z, delta_exp, M_frac, samples, seed)
+    else:
+        r = mean_square_twisted_check(z, delta_exp, M_frac, q, chi_index, samples, seed)
+    expected = _mean_square_oracle(z, delta_exp, M_frac, samples, seed, q, chi_index)
+    assert r.observed.hex() == expected.hex()
+
+
+def test_mean_square_twisted_builds_no_dense_window():
+    tracemalloc.start()
+    try:
+        r = mean_square_twisted_check(z=10**11, delta_exp=0.5, M_frac=1.0, samples=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.params["M"] == 316228
+    assert peak <= 4 * 2**20      # a dense float Lambda row and complex chi row: 7.2 MiB
 
 
 def test_mean_square_invalid_window():
