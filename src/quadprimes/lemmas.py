@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from ._stream import Stream
-from .arith import (euler_phi, factorize, mobius, primes_array, primes_up_to,
-                    sieve_window)
+from .arith import euler_phi, factorize, mobius, primes_array, primes_up_to
 from .characters import MAX_MODULUS, build_character_group, primitive_characters
-from .scan import _windows
+from .scan import _pieces
 from .singular import CONSTANT_TRUNCATION, main_term_constant
 
 LS_AVG_C0 = 4.0      # worst dyadic-average large-sieve ratio (params "c0")
@@ -206,25 +206,18 @@ def polya_vinogradov_check(q: int) -> LemmaReport:
 # Short-interval statistics
 # ---------------------------------------------------------------------------
 
-def _pieces(t: int, delta: int, table):
-    """(m, val) of each sieve piece of (t, t+delta], ascending, one at a time."""
-    for lo, hi in _windows(t, delta, t + delta):     # K at the top: no gap to skip
-        win = sieve_window(lo, hi, table)
-        yield win.m, win.val
-
-
 def short_ap_check(t: int, delta: int, l: int, a: int) -> LemmaReport:
     """Lambda-sum over n = a mod l in (t, t+delta] against delta/phi(l).  l is
     at most t + delta, so euler_phi(l) trial-divides no further than the table.
     The sum is one math.fsum over the prime powers m = a (mod l) of every
-    piece: correctly rounded, however split."""
+    piece (K = t + delta skips no cell): correctly rounded, however split."""
     if t < 3 or delta < 1 or not 1 <= l <= t + delta:
         raise ValueError("require t >= 3, delta >= 1 and t + delta >= l >= 1")
     if math.gcd(a, l) != 1:
         raise ValueError(f"require gcd(a, l) = 1, got gcd({a}, {l}) = {math.gcd(a, l)}")
     table = primes_up_to(math.isqrt(t + delta) + 1)
-    observed = math.fsum(x for m, val in _pieces(t, delta, table)
-                         for x in val[m % l == a % l])
+    observed = math.fsum(chain.from_iterable(map(lambda win: win.val[win.m % l == a % l],
+                                                 _pieces(t, delta, t + delta, table))))
     reference = delta / euler_phi(l)
     params = {"t": t, "delta": delta, "l": l, "a": a, "tol": SHORT_AP_TOL}
     return _report("SHORT_AP", params, observed, reference,
@@ -239,9 +232,10 @@ def _require_samples(samples: int) -> None:
 def _mean_square(lemma_id: str, square, z: int, delta_exp: float, M_frac: float,
                  samples: int, seed: int, extra: dict) -> LemmaReport:
     """Monte-Carlo mean over t in (z, 2z] of square(pieces, M), where pieces
-    are the _pieces of (t, t+M], against delta^2 / (log z)^C0 with
+    are the scan._pieces of (t, t+M] (K = t + M), against delta^2 / (log z)^C0 with
     delta = z^delta_exp and M = M_frac delta; extra holds the caller's own
-    parameters.  The caller has checked samples with _require_samples.
+    parameters.  The caller has checked samples with _require_samples; the
+    seed, the draw range and the table's cap are refused before any draw.
     """
     delta = int(round(z**delta_exp))
     M = int(round(M_frac * delta))
@@ -252,9 +246,11 @@ def _mean_square(lemma_id: str, square, z: int, delta_exp: float, M_frac: float,
     reference = delta**2 / math.log(z) ** MEAN_SQ_C0
     if M == 0:
         return _report(lemma_id, params, 0.0, reference, True, seed)
-    ts = Stream(seed).integers(z + 1, 2 * z + 1, samples)
+    rng = Stream(seed)
+    rng.integers(z + 1, 2 * z + 1, 0)       # checks the range, draws nothing
     table = primes_up_to(math.isqrt(2 * z + M) + 1)
-    estimate = float(np.mean([square(_pieces(t, M, table), M) for t in ts]))
+    ts = rng.integers(z + 1, 2 * z + 1, samples)
+    estimate = float(np.mean([square(_pieces(t, M, t + M, table), M) for t in ts]))
     return _report(lemma_id, params, estimate, reference,
                    estimate <= reference, seed)
 
@@ -267,7 +263,7 @@ def mean_square_check(z: int, delta_exp: float = 0.4, M_frac: float = 1.0,
     _require_samples(samples)
 
     def square(pieces, M):
-        return (math.fsum(x for _, val in pieces for x in val) - M) ** 2
+        return (math.fsum(chain.from_iterable(map(lambda win: win.val, pieces))) - M) ** 2
 
     return _mean_square("MEAN_SQ", square, z, delta_exp, M_frac, samples, seed, {})
 
@@ -287,7 +283,7 @@ def mean_square_twisted_check(z: int, delta_exp: float = 0.4, M_frac: float = 1.
     row = chi.values()
 
     def square(pieces, M):
-        w = np.concatenate([val * row[m % q] for m, val in pieces])
+        w = np.concatenate(list(map(lambda win: win.val * row[win.m % q], pieces)))
         return abs(complex(math.fsum(w.real), math.fsum(w.imag))) ** 2
 
     return _mean_square("MEAN_SQ_TWISTED", square, z, delta_exp, M_frac, samples,

@@ -5,12 +5,12 @@ For a window (t, t+delta] and every shift k <= K this computes
     A_k = sum of Lambda(n^2 + k) over n >= 1 with t < n^2 + k <= t + delta
     c_k = count of such n (exact, from the k-interval of each n)
 
-The scan iterates over n: the admissible m = n^2 + k form a contiguous
-integer interval of length <= K, so Lambda is evaluated on sieve windows of
-at most SEGMENT_SIZE cells, taken in ascending order and skipping the gaps
-no n^2 + k lands on, and scatter-added into per-k accumulators.  That
-costs O(cells * log log) sieve work instead of one primality test per
-candidate; the per-candidate route is the cross-check oracle in the tests.
+The admissible m = n^2 + k of each n form an integer interval of length
+<= K.  _pieces, the one sieve walker (the lemma checks' window sums use it
+too), sieves the window in ascending pieces of at most SEGMENT_SIZE cells,
+skipping the gaps no n^2 + k lands on; _rows cuts each piece into one row
+per n, scatter-added into per-k accumulators: O(cells * log log) sieve work
+instead of one primality test per candidate (the tests' cross-check oracle).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._stream import Stream
-from .arith import INT63_CAP, SEGMENT_SIZE, primes_up_to, sieve_window
+from .arith import INT63_CAP, SEGMENT_SIZE, SieveWindow, primes_up_to, sieve_window
 from .singular import DEFAULT_TRUNCATION, _check_batch, batch_singular_values
 
 
@@ -116,41 +116,52 @@ def _windows(t: int, delta: int, K: int) -> Iterator[tuple[int, int]]:
         lo += SEGMENT_SIZE
 
 
+def _pieces(t: int, delta: int, K: int, table) -> Iterator[SieveWindow]:
+    """The SieveWindow of each piece of _windows(t, delta, K), ascending.  A
+    consumer drops each piece before asking for the next (a for target keeps it)."""
+    for lo, hi in _windows(t, delta, K):
+        yield sieve_window(lo, hi, table)
+
+
+def _rows(t: int, delta: int, K: int, table) -> Iterator[tuple]:
+    """(n^2 + 1, m, val) for each n and piece of _pieces(t, delta, K): the prime
+    powers m = n^2 + k (k <= K) of the piece, a view of its m cut by np.searchsorted,
+    and their Lambda.  A row may arrive in parts, in ascending k."""
+    for win in _pieces(t, delta, K, table):
+        m, val = win.m, win.val
+        firsts = [n * n + 1 for n in range(math.isqrt(max(win.lo - K, 1)),
+                                           math.isqrt(win.hi - 2) + 1)]
+        cuts = np.searchsorted(m, [(first, first + K) for first in firsts]).tolist()
+        for first, (s0, s1) in zip(firsts, cuts):
+            yield first, m[s0:s1], val[s0:s1]
+        del win, m, val                 # free this piece before sieving the next
+
+
 def progression_sums(t: int, delta: int, K: int):
     """(A_k array, c_k array, stats) for the window (t, t+delta], k = 1..K.
 
-    The window is sieved in the pieces of _windows(t, delta, K).  For each n,
-    the prime powers m = n^2 + k (k <= K) of a piece are one slice of its m,
-    cut by np.searchsorted, and add their Lambda at m - (n^2 + 1) = k - 1 of
-    A in one unbuffered np.add.at, which meets each k once.  For fixed k, m
-    grows with n, so every A_k is the plain sum of its terms in ascending n.
-    n counts in c_k for k in (t - n^2, t + delta - n^2], so c_k is the
-    running sum of the starts and ends of those intervals, clipped to [1, K]."""
+    Each row of _rows adds its Lambda at m - (n^2 + 1) = k - 1 of A in one
+    unbuffered np.add.at, which meets each k once.  For fixed k, m grows with n,
+    so every A_k is the plain sum of its terms in ascending n.  n counts in c_k
+    for k in (t - n^2, t + delta - n^2], so c_k is the running sum of the
+    starts and ends of those intervals, clipped to [1, K]."""
     if t < 0 or delta < 0 or K < 1:
         raise ValueError("require t >= 0, delta >= 0, K >= 1")
     if t + delta + K >= INT63_CAP:
         raise OverflowError("window top exceeds the 2^63-1 cap")
     table = primes_up_to(math.isqrt(t + delta) + 1) if delta else None
     lambda_sums = np.zeros(K)
-    windows = cells = 0
-    for lo, hi in _windows(t, delta, K):
-        win = sieve_window(lo, hi, table)
-        m, val = win.m, win.val
-        firsts = [n * n + 1 for n in range(math.isqrt(max(lo - K, 1)),
-                                           math.isqrt(hi - 2) + 1)]
-        cuts = np.searchsorted(m, [(first, first + K) for first in firsts]).tolist()
-        for first, (s0, s1) in zip(firsts, cuts):
-            np.add.at(lambda_sums, m[s0:s1] - first, val[s0:s1])
-        windows += 1
-        cells += hi - lo
-        del win, m, val                 # free this window before sieving the next
+    for first, m, val in _rows(t, delta, K, table):
+        np.add.at(lambda_sums, m - first, val)
+        del m, val                      # hold no piece while the next is sieved
+    sizes = [hi - lo for lo, hi in _windows(t, delta, K)]
     ns = np.arange(max(math.isqrt(max(t - K, 0)), 1), math.isqrt(t + delta) + 1,
                    dtype=np.int64)
     squares = ns * ns
     counts = np.bincount(np.clip(t + 1 - squares, 1, K + 1), minlength=K + 2)
     counts -= np.bincount(np.clip(t + delta + 1 - squares, 1, K + 1), minlength=K + 2)
     np.cumsum(counts, out=counts)
-    return lambda_sums, counts[1:K + 1], {"segments": windows, "cells": cells}
+    return lambda_sums, counts[1:K + 1], {"segments": len(sizes), "cells": sum(sizes)}
 
 
 # ru_maxrss (KiB) of the workers joined during a cli.run, which sets the list.

@@ -119,3 +119,24 @@ def test_no_process_wide_caches():
                 if _empty_container(node.value):
                     found.append(f"{where} empty container")
     assert found == []
+
+
+def _users(node, name: str, where: str) -> list[str]:
+    """where.f for each Name or attribute `name` under node, f the innermost
+    function (or class) around it; where alone at module level."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        where = f"{where.partition('.')[0]}.{node.name}"
+    elif ((isinstance(node, ast.Name) and node.id == name)
+          or (isinstance(node, ast.Attribute) and node.attr == name)):
+        return [where]
+    return [user for child in ast.iter_child_nodes(node)
+            for user in _users(child, name, where)]
+
+
+def test_sieve_window_has_one_caller():
+    # scan._pieces is the one walker that cuts a window into sieved pieces, so
+    # every window sum holds one piece at a time; a second caller of
+    # sieve_window in src/ would be a second walker
+    users = [user for path in sorted(Path(quadprimes.__file__).parent.glob("*.py"))
+             for user in _users(ast.parse(path.read_text()), "sieve_window", path.stem)]
+    assert users == ["scan._pieces"]

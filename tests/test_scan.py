@@ -4,6 +4,7 @@ import math
 import os
 import random
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -13,10 +14,11 @@ from hypothesis import strategies as st
 import quadprimes.scan
 from oracles import (isqrt_array, progression_sums_full, theorem2_exact_integral,
                      von_mangoldt, window_count, window_lambda_sum)
-from quadprimes.arith import INT63_CAP, SEGMENT_SIZE, primes_up_to
+from quadprimes.arith import INT63_CAP, SEGMENT_SIZE, primes_up_to, sieve_window
 from quadprimes.cli import main
 from quadprimes.dispersion import dispersion_profile
-from quadprimes.scan import (MomentReport, ScanConfig, _windows, exceptional_set,
+from quadprimes.lemmas import mean_square_check, mean_square_twisted_check, short_ap_check
+from quadprimes.scan import (MomentReport, ScanConfig, _rows, _windows, exceptional_set,
                              full_window_moment, progression_sums, sample_points,
                              scan_all_k, theorem2_moment)
 from quadprimes.singular import DEFAULT_TRUNCATION, batch_singular_values
@@ -206,6 +208,51 @@ def test_progression_counts_match_the_isqrt_formula(t, delta, K):
     ks = np.arange(1, K + 1, dtype=np.int64)
     expect = isqrt_array(np.maximum(t + delta - ks, 0)) - isqrt_array(np.maximum(t - ks, 0))
     assert counts.tolist() == expect.tolist()
+
+
+@pytest.mark.parametrize("t, delta, K, seg_size", [
+    (10**4, 10**4, 500, 997),       # dense: 2n + 1 < K, rows overlap and split
+    (0, 5000, 3, 16),               # from t = 0, where isqrt(lo - 1) = 0 < 1
+    (10**6, 10**5, 50, 4096),       # sparse: 2n + 1 > K
+    (10**6, 10**5, 50, 257),        # each gap is wider than a piece
+])
+def test_rows_rebuild_every_lambda_of_every_n(monkeypatch, t, delta, K, seg_size):
+    monkeypatch.setattr(quadprimes.scan, "SEGMENT_SIZE", seg_size)
+    parts = {}
+    for first, m, val in _rows(t, delta, K, primes_up_to(math.isqrt(t + delta) + 1)):
+        parts.setdefault(first, []).append((m.tolist(), val.tolist()))
+    rows = {first: ([x for m, _ in got for x in m], [y for _, val in got for y in val])
+            for first, got in parts.items()}
+    lam = {}
+    for n in range(1, math.isqrt(t + delta) + 1):
+        cells = range(max(n * n + 1, t + 1), min(n * n + K, t + delta) + 1)
+        lam.update((x, von_mangoldt(x)) for x in cells if x not in lam)
+        ms = [x for x in cells if lam[x]]
+        m, val = rows.pop(n * n + 1, ([], []))
+        assert m == ms          # one row, its parts in ascending k, none missing
+        assert val == pytest.approx([lam[x] for x in ms], rel=1e-15)
+    assert all(m == [] for m, _ in rows.values())
+
+
+@pytest.mark.parametrize("consume", [
+    lambda: progression_sums(10**6, 10**5, 5000),
+    lambda: short_ap_check(t=10**6, delta=10**5, l=3, a=1),
+    lambda: mean_square_check(z=10**6, delta_exp=0.8, samples=2),
+    lambda: mean_square_twisted_check(z=10**6, delta_exp=0.8, samples=2),
+], ids=["progression_sums", "short_ap", "mean_square", "mean_square_twisted"])
+def test_no_consumer_holds_a_piece_while_the_next_is_sieved(monkeypatch, consume):
+    monkeypatch.setattr(quadprimes.scan, "SEGMENT_SIZE", 4096)
+    pieces, alive = [], []
+
+    def probe(lo, hi, table):
+        alive.append(sum(ref() is not None for ref in pieces))
+        win = sieve_window(lo, hi, table)
+        pieces.append(weakref.ref(win.m))
+        return win
+
+    monkeypatch.setattr(quadprimes.scan, "sieve_window", probe)
+    consume()
+    assert len(pieces) >= 3 and alive == [0] * len(pieces)
 
 
 def test_progression_sums_peak_memory():
